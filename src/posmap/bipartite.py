@@ -134,26 +134,34 @@ def partial_trace_2(W: Witness) -> np.ndarray:
 def apply_map(W: Witness, X: np.ndarray) -> np.ndarray:
     """Apply the map of the witness: M(X)_{jl} = sum_{ik} A_{ij;kl} X_{ki}.
 
-    Sends Hermitian m x m input to Hermitian n x n output. The input is
-    not validated; complex-linear action on arbitrary X is intentional.
+    Sends Hermitian m x m input to Hermitian n x n output, elementwise
+    over any leading stack axes of X. The input is not validated;
+    complex-linear action on arbitrary X is intentional.
     """
-    return np.einsum("ijkl,ki->jl", W.blocks, np.asarray(X, dtype=complex))
+    return np.einsum("ijkl,...ki->...jl", W.blocks, np.asarray(X, dtype=complex))
 
 
 def apply_transposed_map(W: Witness, Y: np.ndarray) -> np.ndarray:
-    """Apply the Hilbert-Schmidt adjoint: M^T(Y)_{ik} = sum_{jl} A_{ij;kl} Y_{lj}."""
-    return np.einsum("ijkl,lj->ik", W.blocks, np.asarray(Y, dtype=complex))
+    """Apply the Hilbert-Schmidt adjoint: M^T(Y)_{ik} = sum_{jl} A_{ij;kl} Y_{lj}.
+
+    Broadcasts over leading stack axes of Y like :func:`apply_map`.
+    """
+    return np.einsum("ijkl,...lj->...ik", W.blocks, np.asarray(Y, dtype=complex))
 
 
-def biquadratic_form(W: Witness, phi: np.ndarray, chi: np.ndarray) -> float:
+def biquadratic_form(W: Witness, phi: np.ndarray,
+                     chi: np.ndarray) -> float | np.ndarray:
     """Evaluate f_A(phi, chi) = (phi (x) chi)^dag A (phi (x) chi).
 
     Real for any Hermitian witness; equals chi^dag M(phi phi^dag) chi.
+    For single vectors the result is a float; for stacks of vectors
+    (leading axes of phi and chi) an array with one value per pair.
     """
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    val = np.einsum("ijkl,k,i,l,j->", W.blocks, phi, phi.conj(), chi, chi.conj())
-    return float(val.real)
+    val = np.einsum("ijkl,...k,...i,...l,...j->...", W.blocks, phi, phi.conj(),
+                    chi, chi.conj()).real
+    return float(val) if val.ndim == 0 else val
 
 
 def map_matrix(W: Witness) -> MapMatrix:

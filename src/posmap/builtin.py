@@ -269,24 +269,18 @@ def ring_zero(theta: float, params: RingParams = RingParams(),
     :param params: ring parameters (a, b, theta0).
     :param branch: +1 or -1, selecting the square-root branch.
     :return: array (x, y, z) with x^2 + y^2 + z^2 = 1.
+    :raises ValueError: if branch is not +1 or -1.
     """
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    a, b, theta0 = params.a, params.b, params.theta0
-    den = np.cos(theta - theta0)
-    if abs(den) < _SINGULAR_TOL:
-        return np.array([0.0, 0.0, -float(branch)])
-    s = a * np.cos(2.0 * theta + theta0) / den
-    t = (-b * s + branch * np.sqrt(1.0 + s * s - b * b)) / (1.0 + s * s)
-    return np.array([t * np.cos(theta), t * np.sin(theta), -b - t * s])
+    return ring_points([theta], params, branch)[0]
 
 
 def ring_points(thetas: np.ndarray, params: RingParams = RingParams(),
                 branch: int = +1) -> np.ndarray:
-    """Vectorized :func:`ring_zero` over an array of angles.
+    """:func:`ring_zero` over an array of angles.
 
     Angles within 1e-9 of the singular values get the analytic limit.
     :return: array of shape (len(thetas), 3).
+    :raises ValueError: if branch is not +1 or -1.
     """
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")

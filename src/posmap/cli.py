@@ -118,8 +118,6 @@ def _cmd_zeros(args) -> int:
 def _section_plane(W: Witness, kind: str, seed: int):
     eye = np.eye(W.m, dtype=complex)
     if kind == "diag":
-        if W.m < 2:
-            raise ValueError("diag section needs m >= 2")
         return plane_from_states(eye / W.m, np.outer(eye[:, 0], eye[:, 0]),
                                  np.outer(eye[:, 1], eye[:, 1]),
                                  norm_frame="image", W=W)

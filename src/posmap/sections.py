@@ -118,10 +118,6 @@ class BoundaryCurve:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "r", r)
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.theta.tolist(), self.r.tolist()))
-
     def xy(self) -> np.ndarray:
         """Cartesian sample coordinates, shape (n, 2)."""
         return np.column_stack([self.r * np.cos(self.theta),

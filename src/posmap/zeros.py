@@ -87,16 +87,101 @@ class ConstraintSystem:
     zero_count: int
 
 
+# Pattern-search refinement: initial poll step, the step at which it
+# stops, its cap on objective evaluations, and the poll directions of one
+# frame column in polling order.
+REFINE_H0 = 0.05
+REFINE_MIN_H = 1e-8
+REFINE_BUDGET = 6000
+POLL_STEPS = np.array([1.0, -1.0, 1j, -1j])
+# Base finite-difference step of the classification Hessian.
+HESS_STEP = 1e-4
+# Row blocks that bound the working set of the stacked kernels: vectors
+# per stacked eigenvalue evaluation, rows per block of the pairwise
+# overlap matrix, and zeros per stacked finite-difference evaluation.
+EVAL_CHUNK = 512
+OVERLAP_BLOCK = 64
+CLASSIFY_CHUNK = 8
+
+# The kernels below run one operation over a stack of starts or zeros,
+# one row per start. Every stacked step repeats, row by row, the exact
+# floating-point operations of a single-vector computation (stacked
+# einsum, eigh, eigvalsh and qr reproduce their per-matrix results), so
+# a start's result does not depend on the other rows of its stack.
+
+
+def _outer(V: np.ndarray) -> np.ndarray:
+    """Stacked outer products v v^dag."""
+    return V[..., :, None] * V.conj()[..., None, :]
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Stacked 2-norms, rounded exactly as ``np.linalg.norm`` of one vector.
+
+    ``np.linalg.norm`` sums the real and imaginary dot products
+    separately; a stacked ``norm(..., axis=-1)`` rounds differently.
+    """
+    re = V.real[..., None, :]
+    im = V.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _normalized(V: np.ndarray) -> np.ndarray:
+    return V / _norms(V)[..., None]
+
+
 def _min_eigvec(H: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(H)
-    return vecs[:, 0]
+    return np.linalg.eigh(H)[1][..., 0]
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    i = int(np.argmax(np.abs(v)))
-    phase = v[i] / abs(v[i]) if abs(v[i]) > 0 else 1.0
-    return v / phase
+def _canonical_phase(V: np.ndarray) -> np.ndarray:
+    """Rotate each row's phase so its largest-magnitude entry is real positive."""
+    pivots = V[np.arange(V.shape[0]), np.argmax(np.abs(V), axis=-1)]
+    # Scalar division per row: the vectorized quotient rounds differently.
+    phases = np.array([p / abs(p) if abs(p) > 0 else 1.0 for p in pivots],
+                      dtype=complex)
+    return V / phases[:, None]
+
+
+def _tangent_frame(V: np.ndarray) -> np.ndarray:
+    """Orthonormal complex basis of the orthogonal complement of each v.
+
+    Returns shape (..., k, k - 1): the frame vectors are the columns.
+    """
+    k = V.shape[-1]
+    # Complete v to a unitary frame via QR on [v | I] and drop column 0.
+    eye = np.broadcast_to(np.eye(k, dtype=complex), V.shape[:-1] + (k, k))
+    q, _ = np.linalg.qr(np.concatenate([V[..., :, None], eye], axis=-1))
+    # QR may flip the first column by a phase; the remaining columns
+    # still span the complement of v.
+    return q[..., :, 1:k]
+
+
+def _alternate(W: Witness, Phi: np.ndarray, max_iter: int,
+               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked alternating minimization; each start keeps its own stop rule.
+
+    :return: (Phi, Chi, values); vectors unit norm, phases not canonical.
+    """
+    Phi = _normalized(np.asarray(Phi, dtype=complex))
+    Chi = _min_eigvec(apply_map(W, _outer(Phi)))
+    values = biquadratic_form(W, Phi, Chi)
+    active = np.arange(Phi.shape[0])
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        phi = _min_eigvec(apply_transposed_map(W, _outer(Chi[active])))
+        chi = _min_eigvec(apply_map(W, _outer(phi)))
+        new = biquadratic_form(W, phi, chi)
+        Phi[active] = phi
+        Chi[active] = chi
+        old = values[active]
+        stop = old - new <= tol
+        # A stopping start keeps min(old, new); the others take new.
+        values[active] = np.where(stop & ~(new < old), old, new)
+        active = active[~stop]
+    return Phi, Chi, values
 
 
 def alternating_minimize(W: Witness, phi0: np.ndarray, max_iter: int = 200,
@@ -116,34 +201,63 @@ def alternating_minimize(W: Witness, phi0: np.ndarray, max_iter: int = 200,
     :param tol: absolute stopping threshold on the per-sweep decrease.
     :return: (phi, chi, value) with unit vectors, phases canonicalized.
     """
-    phi = np.asarray(phi0, dtype=complex)
-    phi = phi / np.linalg.norm(phi)
-    chi = _min_eigvec(apply_map(W, np.outer(phi, phi.conj())))
-    value = biquadratic_form(W, phi, chi)
-    for _ in range(max_iter):
-        phi = _min_eigvec(apply_transposed_map(W, np.outer(chi, chi.conj())))
-        chi = _min_eigvec(apply_map(W, np.outer(phi, phi.conj())))
-        new_value = biquadratic_form(W, phi, chi)
-        if value - new_value <= tol:
-            value = min(value, new_value)
-            break
-        value = new_value
-    return _canonical_phase(phi), _canonical_phase(chi), value
+    Phi, Chi, values = _alternate(W, np.asarray(phi0, dtype=complex)[None],
+                                  max_iter, tol)
+    return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
+            float(values[0]))
 
 
-def _tangent_frame(v: np.ndarray) -> np.ndarray:
-    """Orthonormal complex basis of the orthogonal complement of v."""
-    k = v.shape[0]
-    # Complete v to a unitary frame via QR on [v | I] and drop column 0.
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(k, dtype=complex)]))
-    # QR may flip the first column by a phase; the remaining columns
-    # still span the complement of v.
-    return q[:, 1:k]
+def _min_eigvals(W: Witness, Phi: np.ndarray) -> np.ndarray:
+    """Eliminated objective g(phi) = min eigenvalue of M(phi phi^dag), per row."""
+    g = np.empty(Phi.shape[0])
+    for b in range(0, Phi.shape[0], EVAL_CHUNK):
+        rows = slice(b, b + EVAL_CHUNK)
+        g[rows] = np.linalg.eigvalsh(apply_map(W, _outer(Phi[rows])))[:, 0]
+    return g
 
 
-def refine_zero(W: Witness, phi: np.ndarray, chi: np.ndarray = None,
-                h0: float = 0.05, min_h: float = 1e-8,
-                budget: int = 6000) -> tuple[np.ndarray, np.ndarray, float]:
+def _refine(W: Witness, Phi: np.ndarray, h0: float, min_h: float,
+            budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked tangent pattern search; each start polls on its own.
+
+    A poll round evaluates all 4(m - 1) candidates of every active start
+    at once and moves each start to its first improving candidate in
+    polling order (frame column major, then +h, -h, +ih, -ih), charging
+    the evaluations a sequential poll makes up to that candidate.
+
+    :return: (Phi, Chi, values), unit vectors with canonical phases.
+    """
+    Phi = _normalized(np.asarray(Phi, dtype=complex))
+    count, m = Phi.shape
+    polls = 4 * (m - 1)
+    best = _min_eigvals(W, Phi)
+    h = np.full(count, float(h0))
+    evals = np.zeros(count, dtype=int)
+    active = np.flatnonzero((h > min_h) & (evals < budget))
+    while active.size:
+        phi = Phi[active]
+        frame = _tangent_frame(phi).swapaxes(-1, -2)
+        steps = h[active, None] * POLL_STEPS
+        cand = phi[:, None, None, :] + steps[:, None, :, None] * frame[:, :, None, :]
+        cand = _normalized(cand.reshape(-1, polls, m))
+        vals = _min_eigvals(W, cand.reshape(-1, m)).reshape(-1, polls)
+        better = vals < best[active, None]
+        improved = better.any(axis=1)
+        first = better.argmax(axis=1)
+        evals[active] += np.where(improved, first + 1, polls)
+        rows = np.flatnonzero(improved)
+        Phi[active[rows]] = cand[rows, first[rows]]
+        best[active[rows]] = vals[rows, first[rows]]
+        h[active[~improved]] *= 0.5
+        active = active[(h[active] > min_h) & (evals[active] < budget)]
+    Chi = _min_eigvec(apply_map(W, _outer(Phi)))
+    values = biquadratic_form(W, Phi, Chi)
+    return _canonical_phase(Phi), _canonical_phase(Chi), values
+
+
+def refine_zero(W: Witness, phi: np.ndarray, h0: float = REFINE_H0,
+                min_h: float = REFINE_MIN_H,
+                budget: int = REFINE_BUDGET) -> tuple[np.ndarray, np.ndarray, float]:
     """Polish a near-zero to working precision by tangent pattern search.
 
     Minimizes the eliminated objective g(phi) = min-eigenvalue of
@@ -155,47 +269,106 @@ def refine_zero(W: Witness, phi: np.ndarray, chi: np.ndarray = None,
     differences reach working precision.
 
     :param W: witness.
-    :param phi: approximate zero, m side (any nonzero norm).
-    :param chi: ignored (the optimal chi is recomputed); accepted so the
-        refinement slots behind :func:`alternating_minimize`.
+    :param phi: approximate zero, m side (any nonzero norm); the chi
+        side is recomputed as the minimal eigenvector at the result.
     :param h0: initial poll step.
     :param min_h: poll step below which the search stops.
     :param budget: cap on objective evaluations.
     :return: (phi, chi, value), unit vectors with canonical phases.
     """
-    phi = np.asarray(phi, dtype=complex)
-    phi = phi / np.linalg.norm(phi)
+    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None],
+                               h0, min_h, budget)
+    return Phi[0], Chi[0], float(values[0])
 
-    def g_of(p):
-        return np.linalg.eigvalsh(apply_map(W, np.outer(p, p.conj())))[0]
 
-    best = g_of(phi)
-    h = h0
-    evals = 0
-    while h > min_h and evals < budget:
-        frame = _tangent_frame(phi)
-        improved = False
-        for col in range(frame.shape[1]):
-            for comp in (1.0, -1.0, 1j, -1j):
-                cand = phi + (h * comp) * frame[:, col]
-                cand = cand / np.linalg.norm(cand)
-                val = g_of(cand)
-                evals += 1
-                if val < best:
-                    best, phi, improved = val, cand, True
-                    break
-            if improved:
-                break
-        if not improved:
-            h *= 0.5
-    vals, vecs = np.linalg.eigh(apply_map(W, np.outer(phi, phi.conj())))
-    chi = vecs[:, 0]
-    return (_canonical_phase(phi), _canonical_phase(chi),
-            biquadratic_form(W, phi, chi))
+def _tangent_directions(Phi: np.ndarray,
+                        Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real tangent directions (d_phi, d_chi) of the product manifold.
+
+    For each frame vector u of phi the pairs (u, 0) and (i u, 0), then
+    for each frame vector v of chi the pairs (0, v) and (0, i v).
+    :return: stacks of shape (Z, dim, m) and (Z, dim, n).
+    """
+    U = _tangent_frame(Phi).swapaxes(-1, -2)
+    V = _tangent_frame(Chi).swapaxes(-1, -2)
+    count, m = Phi.shape
+    n = Chi.shape[1]
+    k = 2 * (m - 1)
+    dim = k + 2 * (n - 1)
+    D_phi = np.zeros((count, dim, m), dtype=complex)
+    D_chi = np.zeros((count, dim, n), dtype=complex)
+    D_phi[:, 0:k:2] = U
+    D_phi[:, 1:k:2] = 1j * U
+    D_chi[:, k::2] = V
+    D_chi[:, k + 1::2] = 1j * V
+    return D_phi, D_chi
+
+
+def _fd_hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, f0: np.ndarray,
+                D_phi: np.ndarray, D_chi: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference tangent Hessians at step ``step``, one per zero.
+
+    All probe points of all zeros go through one stacked form
+    evaluation: +-step d_p on the diagonal, and step (d_p + d_q),
+    step (d_p - d_q), step (d_q - d_p), -step (d_p + d_q) off it.
+    """
+    count, dim, _ = D_phi.shape
+    p, q = np.triu_indices(dim, 1)
+    pairs = p.size
+
+    def offsets(D):
+        plus = D[:, p] + D[:, q]
+        return np.concatenate([step * D, -step * D, step * plus,
+                               step * (D[:, p] - D[:, q]),
+                               step * (D[:, q] - D[:, p]), -step * plus], axis=1)
+
+    f = biquadratic_form(W, Phi[:, None] + offsets(D_phi),
+                         Chi[:, None] + offsets(D_chi))
+    fp, fm, fpp, fpm, fmp, fmm = np.split(
+        f, np.cumsum([dim, dim, pairs, pairs, pairs]), axis=1)
+    H = np.empty((count, dim, dim))
+    diag = np.arange(dim)
+    H[:, diag, diag] = (fp + fm - 2.0 * f0[:, None]) / step**2
+    off = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+    H[:, p, q] = off
+    H[:, q, p] = off
+    return H
+
+
+def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray, zero_tol: float,
+              h: float, hess_tol: float) -> tuple[list, np.ndarray]:
+    """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
+
+    :return: (kinds, spectra) with one ascending spectrum row per zero.
+    :raises ValueError: for the first row that is not a zero.
+    """
+    Phi = np.asarray(Phi, dtype=complex)
+    Chi = np.asarray(Chi, dtype=complex)
+    scale = hs_norm(W.matrix)
+    if hess_tol is None:
+        hess_tol = 1e-7 * scale
+    f0 = biquadratic_form(W, Phi, Chi)
+    bad = np.flatnonzero(np.abs(f0) > zero_tol * max(1.0, scale))
+    if bad.size:
+        raise ValueError(
+            f"not a zero: |f| = {abs(f0[bad[0]]):.3e} exceeds {zero_tol:.1e} "
+            "(relative)"
+        )
+    D_phi, D_chi = _tangent_directions(Phi, Chi)
+    spectra = np.empty(D_phi.shape[:2])
+    for b in range(0, Phi.shape[0], CLASSIFY_CHUNK):
+        c = slice(b, b + CLASSIFY_CHUNK)
+        H_h, H_half = (_fd_hessian(W, Phi[c], Chi[c], f0[c], D_phi[c], D_chi[c], s)
+                       for s in (h, h / 2.0))
+        H = (4.0 * H_half - H_h) / 3.0  # Richardson: cancels the O(h^2) error
+        H = (H + H.swapaxes(-1, -2)) / 2.0
+        spectra[c] = np.linalg.eigvalsh(H)
+    kinds = ["quartic" if low < hess_tol else "quadratic" for low in spectra[:, 0]]
+    return kinds, spectra
 
 
 def classify_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
-                  zero_tol: float = 1e-9, h: float = 1e-4,
+                  zero_tol: float = 1e-9, h: float = HESS_STEP,
                   hess_tol: float = None) -> tuple[str, np.ndarray]:
     """Classify a zero as quadratic or quartic via the tangent Hessian.
 
@@ -215,57 +388,58 @@ def classify_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
     :return: (kind, ascending Hessian eigenvalues).
     :raises ValueError: if f_A(phi, chi) exceeds ``zero_tol``.
     """
-    phi = np.asarray(phi, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    scale = hs_norm(W.matrix)
-    if hess_tol is None:
-        hess_tol = 1e-7 * scale
-    f0 = biquadratic_form(W, phi, chi)
-    if abs(f0) > zero_tol * max(1.0, scale):
-        raise ValueError(
-            f"not a zero: |f| = {abs(f0):.3e} exceeds {zero_tol:.1e} (relative)"
-        )
-    m, n = W.m, W.n
-    u_frame = _tangent_frame(phi)
-    v_frame = _tangent_frame(chi)
-    # Real tangent directions: (d_phi, d_chi) pairs, phi block first.
-    dirs = []
-    for col in range(m - 1):
-        dirs.append((u_frame[:, col], np.zeros(n, dtype=complex)))
-        dirs.append((1j * u_frame[:, col], np.zeros(n, dtype=complex)))
-    for col in range(n - 1):
-        dirs.append((np.zeros(m, dtype=complex), v_frame[:, col]))
-        dirs.append((np.zeros(m, dtype=complex), 1j * v_frame[:, col]))
-    dim = len(dirs)
+    kinds, spectra = _classify(W, np.asarray(phi, dtype=complex)[None],
+                               np.asarray(chi, dtype=complex)[None],
+                               zero_tol, h, hess_tol)
+    return kinds[0], spectra[0]
 
-    def f_at(step_phi, step_chi):
-        return biquadratic_form(W, phi + step_phi, chi + step_chi)
 
-    def hessian(step: float) -> np.ndarray:
-        H = np.empty((dim, dim))
-        for p in range(dim):
-            dp, dc = dirs[p]
-            fp = f_at(step * dp, step * dc)
-            fm = f_at(-step * dp, -step * dc)
-            H[p, p] = (fp + fm - 2.0 * f0) / step**2
-        for p in range(dim):
-            for q in range(p + 1, dim):
-                dp1, dc1 = dirs[p]
-                dp2, dc2 = dirs[q]
-                fpp = f_at(step * (dp1 + dp2), step * (dc1 + dc2))
-                fpm = f_at(step * (dp1 - dp2), step * (dc1 - dc2))
-                fmp = f_at(step * (dp2 - dp1), step * (dc2 - dc1))
-                fmm = f_at(-step * (dp1 + dp2), -step * (dc1 + dc2))
-                H[p, q] = H[q, p] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-        return H
+def _dedup(Phi: np.ndarray, Chi: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Indices of the rows kept as representatives, in row order.
 
-    H_h = hessian(h)
-    H_half = hessian(h / 2.0)
-    H = (4.0 * H_half - H_h) / 3.0  # Richardson: cancels the O(h^2) error
-    H = (H + H.T) / 2.0
-    spectrum = np.linalg.eigvalsh(H)
-    kind = "quartic" if spectrum[0] < hess_tol else "quadratic"
-    return kind, spectrum
+    A row is a duplicate when its overlap |<phi_r, phi>| |<chi_r, chi>|
+    with an earlier representative r exceeds 1 - dedup_tol.
+    """
+    keep = []
+    for i in range(Phi.shape[0]):
+        if keep:
+            overlap = (np.abs(np.einsum("ri,i->r", Phi[keep].conj(), Phi[i]))
+                       * np.abs(np.einsum("ri,i->r", Chi[keep].conj(), Chi[i])))
+            if np.any(overlap > 1.0 - dedup_tol):
+                continue
+        keep.append(i)
+    return np.array(keep, dtype=int)
+
+
+def _cluster_sizes(Phi: np.ndarray, Chi: np.ndarray,
+                   chain_overlap: float) -> np.ndarray:
+    """Size of the overlap-chained cluster that contains each row.
+
+    Rows i < j are linked when |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
+    ``chain_overlap``; the overlaps are built :data:`OVERLAP_BLOCK` rows
+    at a time, and clusters are the connected components of the links.
+    """
+    count = Phi.shape[0]
+    linked = np.zeros((count, count), dtype=bool)
+    # einsum, not a BLAS matrix product: the BLAS routine adds to the
+    # peak memory of a search.
+    for b in range(0, count, OVERLAP_BLOCK):
+        rows = slice(b, b + OVERLAP_BLOCK)
+        overlap = (np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi))
+                   * np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi)))
+        linked[rows] = overlap > chain_overlap
+    linked = np.triu(linked, 1)
+    linked |= linked.T
+    label = np.full(count, -1)
+    for i in range(count):
+        if label[i] >= 0:
+            continue
+        reached = frontier = np.arange(count) == i
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        label[reached] = i
+    return np.bincount(label, minlength=count)[label]
 
 
 def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
@@ -275,14 +449,17 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
                cluster_k: int = CLUSTER_K) -> list:
     """Search for zeros from random starts, deduplicate, and classify.
 
-    Runs :func:`alternating_minimize` from ``starts`` Haar-random phi
-    vectors, polishes each result with :func:`refine_zero`, keeps results
+    Runs the alternation of :func:`alternating_minimize` from ``starts``
+    Haar-random phi vectors, polishes each result by the pattern search
+    of :func:`refine_zero`, keeps results
     with value at most ``tol * max(1, ||A||)``, merges candidates whose
     overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds 1 - ``dedup_tol``
     (keeping the lowest value), classifies each survivor, and finally
     chains survivors with pairwise overlap above ``chain_overlap``:
     connected components with more than ``cluster_k`` members have their
-    zeros flagged as continuum candidates.
+    zeros flagged as continuum candidates. Every phase runs once over
+    the stack of all starts, and each start ends where it ends when
+    searched alone.
 
     :param W: witness.
     :param starts: number of random starting vectors.
@@ -293,58 +470,30 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     """
     rng = np.random.default_rng(seed)
     scale = max(1.0, hs_norm(W.matrix))
-    candidates = []
-    for _ in range(starts):
-        phi0 = rng.normal(size=W.m) + 1j * rng.normal(size=W.m)
-        phi, chi, value = alternating_minimize(W, phi0, max_iter=max_iter)
-        # Alternation alone creeps sublinearly into quartic valleys;
-        # polish to working precision before accepting or rejecting.
-        phi, chi, value = refine_zero(W, phi, chi)
-        if abs(value) <= tol * scale:
-            candidates.append((phi, chi, abs(value)))
-    if not candidates:
+    # Start k draws m real parts, then m imaginary parts.
+    draws = rng.normal(size=(max(starts, 0), 2, W.m))
+    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1], max_iter, 0.0)
+    # Alternation alone creeps sublinearly into quartic valleys;
+    # polish to working precision before accepting or rejecting.
+    Phi, Chi, values = _refine(W, _canonical_phase(Phi), REFINE_H0, REFINE_MIN_H,
+                                REFINE_BUDGET)
+    values = np.abs(values)
+    accepted = np.flatnonzero(values <= tol * scale)
+    if not accepted.size:
         return []
     # Deduplicate: keep the best representative of each overlap class.
-    candidates.sort(key=lambda t: t[2])
-    reps = []
-    for phi, chi, value in candidates:
-        dup = False
-        for rphi, rchi, _ in reps:
-            overlap = abs(np.vdot(rphi, phi)) * abs(np.vdot(rchi, chi))
-            if overlap > 1.0 - dedup_tol:
-                dup = True
-                break
-        if not dup:
-            reps.append((phi, chi, value))
+    order = accepted[np.argsort(values[accepted], kind="stable")]
+    reps = order[_dedup(Phi[order], Chi[order], dedup_tol)]
+    Phi, Chi, values = Phi[reps], Chi[reps], values[reps]
     # Chain distinct zeros into clusters to flag continua.
-    count = len(reps)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            overlap = (abs(np.vdot(reps[i][0], reps[j][0]))
-                       * abs(np.vdot(reps[i][1], reps[j][1])))
-            if overlap > chain_overlap:
-                parent[find(i)] = find(j)
-    sizes = {}
-    for i in range(count):
-        root = find(i)
-        sizes[root] = sizes.get(root, 0) + 1
-    zeros = []
-    for i, (phi, chi, value) in enumerate(reps):
-        kind, spectrum = classify_zero(W, phi, chi, zero_tol=tol)
-        zeros.append(ProductZero(
-            phi=phi, chi=chi, value=value, kind=kind,
-            hessian_spectrum=spectrum,
-            continuum=sizes[find(i)] > cluster_k,
-        ))
-    return zeros
+    sizes = _cluster_sizes(Phi, Chi, chain_overlap)
+    kinds, spectra = _classify(W, Phi, Chi, tol, HESS_STEP, None)
+    return [
+        ProductZero(phi=Phi[i], chi=Chi[i], value=float(values[i]),
+                    kind=kinds[i], hessian_spectrum=spectra[i],
+                    continuum=bool(sizes[i] > cluster_k))
+        for i in range(len(reps))
+    ]
 
 
 def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
-from posmap.builtin import choi_lam_continuum_zero, choi_lam_witness
+from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
+                            horodecki_2x4_witness)
+from posmap.hermitian import hs_norm
+import posmap.zeros as zeros_mod
 from posmap.zeros import (alternating_minimize, classify_zero, constraint_rank,
                           constraint_rows, find_zeros, image_rank_at_zero,
                           refine_zero)
@@ -165,3 +168,205 @@ def test_image_rank_at_zero():
     assert info["kernel_residual_X"] < 1e-12
     with pytest.raises(ValueError):
         image_rank_at_zero(W, e[0], e[0])
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: every start of a stack gets the result it gets alone.
+# ---------------------------------------------------------------------------
+
+WITNESSES = {"choi-lam": choi_lam_witness, "horodecki-2x4": horodecki_2x4_witness}
+
+
+def _starts(W, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, W.m)) + 1j * rng.normal(size=(count, W.m))
+
+
+def _canonical(v):
+    return zeros_mod._canonical_phase(v[None])[0]
+
+
+def _min_vec(H):
+    return np.linalg.eigh(H)[1][:, 0]
+
+
+def _sequential_alternation(W, phi, max_iter, tol):
+    """One-start alternating minimization, sweep by sweep."""
+    phi = np.asarray(phi, dtype=complex)
+    phi = phi / np.linalg.norm(phi)
+    chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
+    value = biquadratic_form(W, phi, chi)
+    for _ in range(max_iter):
+        phi = _min_vec(apply_transposed_map(W, np.outer(chi, chi.conj())))
+        chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
+        new_value = biquadratic_form(W, phi, chi)
+        if value - new_value <= tol:
+            value = min(value, new_value)
+            break
+        value = new_value
+    return _canonical(phi), _canonical(chi), value
+
+
+def _sequential_spectrum(W, phi, chi, h=1e-4):
+    """One-zero Richardson-extrapolated finite-difference tangent Hessian."""
+    f0 = biquadratic_form(W, phi, chi)
+    U, V = zeros_mod._tangent_frame(phi), zeros_mod._tangent_frame(chi)
+    zm, zn = np.zeros(W.m, dtype=complex), np.zeros(W.n, dtype=complex)
+    dirs = [d for u in U.T for d in ((u, zn), (1j * u, zn))]
+    dirs += [d for v in V.T for d in ((zm, v), (zm, 1j * v))]
+    dim = len(dirs)
+
+    def f_at(dp, dc):
+        return biquadratic_form(W, phi + dp, chi + dc)
+
+    def hessian(s):
+        H = np.empty((dim, dim))
+        for p, (dp, dc) in enumerate(dirs):
+            H[p, p] = (f_at(s * dp, s * dc) + f_at(-s * dp, -s * dc) - 2.0 * f0) / s**2
+            for q in range(p + 1, dim):
+                dq, dd = dirs[q]
+                H[p, q] = H[q, p] = (f_at(s * (dp + dq), s * (dc + dd))
+                                     - f_at(s * (dp - dq), s * (dc - dd))
+                                     - f_at(s * (dq - dp), s * (dd - dc))
+                                     + f_at(-s * (dp + dq), -s * (dc + dd))) / (4.0 * s**2)
+        return H
+
+    H = (4.0 * hessian(h / 2.0) - hessian(h)) / 3.0
+    return np.linalg.eigvalsh((H + H.T) / 2.0)
+
+
+def _sequential_refine(W, phi, h0=0.05, min_h=1e-8, budget=6000):
+    """One-start first-improvement pattern search, polled candidate by candidate."""
+    phi = np.asarray(phi, dtype=complex)
+    phi = phi / np.linalg.norm(phi)
+
+    def g_of(p):
+        return np.linalg.eigvalsh(apply_map(W, np.outer(p, p.conj())))[0]
+
+    best, h, evals = g_of(phi), h0, 0
+    while h > min_h and evals < budget:
+        frame = np.linalg.qr(np.column_stack([phi, np.eye(W.m)]))[0][:, 1:]
+        improved = False
+        for col in range(W.m - 1):
+            for comp in (1.0, -1.0, 1j, -1j):
+                cand = phi + (h * comp) * frame[:, col]
+                cand = cand / np.linalg.norm(cand)
+                val = g_of(cand)
+                evals += 1
+                if val < best:
+                    best, phi, improved = val, cand, True
+                    break
+            if improved:
+                break
+        if not improved:
+            h *= 0.5
+    chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
+    return _canonical(phi), _canonical(chi), biquadratic_form(W, phi, chi)
+
+
+def _assert_rows_equal(stacked, singles):
+    for i, single in enumerate(singles):
+        for part, row in zip(single, stacked):
+            assert np.array_equal(row[i], part)
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+@pytest.mark.parametrize("max_iter, tol", [(1, 0.0), (200, 0.0), (200, 1e-6)])
+def test_stacked_alternation_matches_single_starts(name, max_iter, tol):
+    W = WITNESSES[name]()
+    starts = _starts(W, 12, 50)
+    Phi, Chi, values = zeros_mod._alternate(W, starts, max_iter, tol)
+    stacked = (zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values)
+    _assert_rows_equal(stacked, [alternating_minimize(W, s, max_iter=max_iter, tol=tol)
+                                 for s in starts])
+    _assert_rows_equal(stacked, [_sequential_alternation(W, s, max_iter, tol)
+                                 for s in starts])
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+@pytest.mark.parametrize("budget", [6000, 20])
+def test_stacked_refine_matches_single_starts(name, budget):
+    """Batched polling charges a start exactly the evaluations of a
+    sequential first-improvement poll: at budget 20 the search stops
+    after the same poll round, so the results agree bit for bit."""
+    W = WITNESSES[name]()
+    phis = list(_starts(W, 10, 51))   # far from zeros: most polls improve
+    stacked = zeros_mod._refine(W, np.array(phis), 0.05, 1e-8, budget)
+    _assert_rows_equal(stacked, [refine_zero(W, p, budget=budget) for p in phis])
+    _assert_rows_equal(stacked, [_sequential_refine(W, p, budget=budget) for p in phis])
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_stacked_classify_matches_single_zeros(name, monkeypatch):
+    W = WITNESSES[name]()
+    phis = [alternating_minimize(W, s)[0] for s in _starts(W, 12, 52)]
+    Phi, Chi, values = zeros_mod._refine(W, np.array(phis), 0.05, 1e-8, 6000)
+    found = np.abs(values) <= 1e-9 * max(1.0, hs_norm(W.matrix))
+    assert found.sum() >= 5
+    Phi, Chi = Phi[found], Chi[found]
+    monkeypatch.setattr(zeros_mod, "CLASSIFY_CHUNK", 3)   # several chunks
+    kinds, spectra = zeros_mod._classify(W, Phi, Chi, 1e-9, 1e-4, None)
+    for i in range(len(Phi)):
+        kind, spectrum = classify_zero(W, Phi[i], Chi[i])
+        assert kinds[i] == kind
+        assert np.array_equal(spectra[i], spectrum)
+        assert np.array_equal(spectra[i], _sequential_spectrum(W, Phi[i], Chi[i]))
+
+
+def test_cluster_sizes_match_pairwise_union_find(monkeypatch):
+    W = choi_lam_witness()
+    Phi, Chi, _ = zeros_mod._refine(W, _starts(W, 40, 53), 0.05, 1e-6, 400)
+    count = len(Phi)
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if abs(np.vdot(Phi[i], Phi[j])) * abs(np.vdot(Chi[i], Chi[j])) > 0.5:
+                parent[find(i)] = find(j)
+    roots = [find(i) for i in range(count)]
+    expected = [roots.count(r) for r in roots]
+    assert 1 < max(expected) < count
+    monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
+    assert list(zeros_mod._cluster_sizes(Phi, Chi, 0.5)) == expected
+    # a chain links its ends through the middle row only
+    e = np.eye(3, dtype=complex)
+    Phi = np.array([e[0], (e[0] + e[1]) / np.sqrt(2.0), e[1], e[2]])
+    Chi = np.array([e[0]] * 4)
+    assert list(zeros_mod._cluster_sizes(Phi, Chi, 0.5)) == [3, 3, 3, 1]
+
+
+def test_dedup_keeps_first_of_each_overlap_class():
+    e = np.eye(3, dtype=complex)
+    tilt = np.array([1.0, 1e-4, 0.0]) / np.linalg.norm([1.0, 1e-4, 0.0])
+    Phi = np.array([e[0], e[1], 1j * e[0], tilt, e[1]])
+    Chi = np.array([e[2], e[0], e[2], e[2], e[1]])
+    # row 2 is row 0 up to phase; row 3 sits 1e-8 away; row 4 differs in chi
+    assert list(zeros_mod._dedup(Phi, Chi, 1e-6)) == [0, 1, 4]
+
+
+def test_find_zeros_single_start():
+    """One start: alternate, refine, accept and classify, as the
+    one-start pipeline of the public functions does."""
+    W = choi_lam_witness()
+    rng = np.random.default_rng(3)
+    phi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    phi, _, _ = alternating_minimize(W, phi0)
+    phi, chi, value = refine_zero(W, phi)
+    assert abs(value) <= 1e-9
+    kind, spectrum = classify_zero(W, phi, chi)
+    (z,) = find_zeros(W, starts=1, seed=3)
+    assert np.array_equal(z.phi, phi) and np.array_equal(z.chi, chi)
+    assert z.value == abs(value)
+    assert z.kind == kind and np.array_equal(z.hessian_spectrum, spectrum)
+    assert not z.continuum
+
+
+def test_find_zeros_no_starts():
+    assert find_zeros(choi_lam_witness(), starts=0) == []
+    # an interior witness has no zeros: its one start is rejected
+    assert find_zeros(Witness(3, 3, np.eye(9)), starts=1) == []
