@@ -16,7 +16,8 @@ import numpy as np
 from . import builtin as builtins_mod
 from .bipartite import Witness, diagnostics
 from .normalize import normalize
-from .sections import plane_from_states, project_point, scan_boundary, section_of_type
+from .sections import (BoundaryCurve, plane_from_states, project_point,
+                       scan_boundary, section_of_type)
 from .serialize import (FormatError, atomic_write, curves_to_csv,
                         diagnostics_to_json, hermitian_to_obj,
                         normalization_to_json, render_section_svg,
@@ -49,6 +50,22 @@ def _resolve_seed(seed: int) -> int:
         return int(env)
     except ValueError:
         raise FormatError(f"POSMAP_SEED must be an integer, got {env!r}")
+
+
+def positive_int(text: str) -> int:
+    """Argument type of counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """Argument type of tolerances: a finite number > 0."""
+    value = float(text)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
 
 
 def _builtin_witness(name: str, dim: int, scale: str) -> Witness:
@@ -134,8 +151,8 @@ def _cmd_section(args) -> int:
     seed = _resolve_seed(args.seed)
     plane = _section_plane(W, args.type, seed)
     source = scan_boundary(plane, transform="none", n_theta=args.samples)
-    image_of_source = scan_boundary(plane, transform="map", W=W,
-                                    n_theta=args.samples)
+    # The mapped boundary has the source's coordinates: no second scan.
+    image_of_source = BoundaryCurve(source.theta, source.r, "image_of_source")
     image_plane = scan_boundary(plane, transform="image_plane", W=W,
                                 n_theta=args.samples)
 
@@ -201,23 +218,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize",
                        help="transform to unital, trace preserving form")
     _add_witness_source(p)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=positive_float, default=1e-12)
+    p.add_argument("--max-iter", type=positive_int, default=200)
     p.add_argument("--output", help="result JSON path (default stdout)")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("zeros", help="locate and classify product zeros")
     _add_witness_source(p)
-    p.add_argument("--starts", type=int, default=500)
+    p.add_argument("--starts", type=positive_int, default=500)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--output", help="zeros JSON path (default stdout)")
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("section", help="boundary curves of a 2D section")
     _add_witness_source(p)
     p.add_argument("--type", required=True, choices=SECTION_TYPES)
-    p.add_argument("--samples", type=int, default=720)
+    p.add_argument("--samples", type=positive_int, default=720)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", required=True, help="curve CSV path")
     p.add_argument("--svg", help="optional SVG rendering path")
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_builtin)
 
     p = sub.add_parser("rings", help="sample the 2x4 map's zero rings")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=positive_int, default=1000)
     p.add_argument("--a", type=float, default=defaults.a)
     p.add_argument("--b", type=float, default=defaults.b)
     p.add_argument("--theta0", type=float, default=defaults.theta0)

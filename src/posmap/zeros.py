@@ -13,7 +13,8 @@ chi are flat directions by construction and are excluded): a quadratic
 zero has a strictly positive tangent Hessian, a quartic zero has at
 least one vanishing eigenvalue, i.e. a direction in which f_A grows
 slower than quadratically. Zeros belonging to a continuum are
-necessarily quartic.
+necessarily quartic. Since f_A is a biquadratic form, the Hessian is
+computed exactly in closed form, with no finite-difference step.
 
 Each zero imposes 2(m + n) - 3 real-linear constraints on the witness:
 the value f_A = 0 and the vanishing of the first derivatives along the
@@ -94,14 +95,16 @@ REFINE_H0 = 0.05
 REFINE_MIN_H = 1e-8
 REFINE_BUDGET = 6000
 POLL_STEPS = np.array([1.0, -1.0, 1j, -1j])
-# Base finite-difference step of the classification Hessian.
-HESS_STEP = 1e-4
+# Sweep cap of the alternation.
+SWEEP_CAP = 200
+# Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
+HESS_TOL = 1e-7
 # Row blocks that bound the working set of the stacked kernels: vectors
 # per stacked eigenvalue evaluation, rows per block of the pairwise
-# overlap matrix, and zeros per stacked finite-difference evaluation.
+# overlap matrix, and zeros per stacked Hessian.
 EVAL_CHUNK = 512
 OVERLAP_BLOCK = 64
-CLASSIFY_CHUNK = 8
+CLASSIFY_CHUNK = 64
 
 # The kernels below run one operation over a stack of starts or zeros,
 # one row per start. Every stacked step repeats, row by row, the exact
@@ -184,7 +187,7 @@ def _alternate(W: Witness, Phi: np.ndarray, max_iter: int,
     return Phi, Chi, values
 
 
-def alternating_minimize(W: Witness, phi0: np.ndarray, max_iter: int = 200,
+def alternating_minimize(W: Witness, phi0: np.ndarray, max_iter: int = SWEEP_CAP,
                          tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize f_A over product vectors by alternating eigenvector steps.
 
@@ -304,39 +307,45 @@ def _tangent_directions(Phi: np.ndarray,
     return D_phi, D_chi
 
 
-def _fd_hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, f0: np.ndarray,
-                D_phi: np.ndarray, D_chi: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference tangent Hessians at step ``step``, one per zero.
+def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
+    """Exact tangent Hessians of f_A, one per zero.
 
-    All probe points of all zeros go through one stacked form
-    evaluation: +-step d_p on the diagonal, and step (d_p + d_q),
-    step (d_p - d_q), step (d_q - d_p), -step (d_p + d_q) off it.
+    With psi = phi (x) chi, the directions (u_p, v_p) of
+    :func:`_tangent_directions` and a_p = u_p (x) chi + phi (x) v_p,
+
+        H_pq = 2 Re a_p^dag A a_q + 2 Re psi^dag A (u_p (x) v_q + u_q (x) v_p).
+
+    The products are einsum contractions: a stacked matmul rounds a row
+    differently depending on the size of its stack.
     """
-    count, dim, _ = D_phi.shape
-    p, q = np.triu_indices(dim, 1)
-    pairs = p.size
-
-    def offsets(D):
-        plus = D[:, p] + D[:, q]
-        return np.concatenate([step * D, -step * D, step * plus,
-                               step * (D[:, p] - D[:, q]),
-                               step * (D[:, q] - D[:, p]), -step * plus], axis=1)
-
-    f = biquadratic_form(W, Phi[:, None] + offsets(D_phi),
-                         Chi[:, None] + offsets(D_chi))
-    fp, fm, fpp, fpm, fmp, fmm = np.split(
-        f, np.cumsum([dim, dim, pairs, pairs, pairs]), axis=1)
-    H = np.empty((count, dim, dim))
-    diag = np.arange(dim)
-    H[:, diag, diag] = (fp + fm - 2.0 * f0[:, None]) / step**2
-    off = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-    H[:, p, q] = off
-    H[:, q, p] = off
-    return H
+    D_phi, D_chi = _tangent_directions(Phi, Chi)
+    count, dim, m = D_phi.shape
+    n = D_chi.shape[2]
+    a = (D_phi[..., :, None] * Chi[:, None, None, :]
+         + Phi[:, None, :, None] * D_chi[..., None, :]).reshape(count, dim, m * n)
+    gram = np.einsum("zpi,ij,zqj->zpq", a.conj(), W.matrix, a)
+    cross = np.einsum("zi,zj,ijkl->zkl", Phi.conj(), Chi.conj(), W.blocks)
+    S = gram + 2.0 * np.einsum("zkl,zpk,zql->zpq", cross, D_phi, D_chi)
+    # Re(S + S^T) is symmetric to the last bit, as eigvalsh assumes.
+    return (S + S.swapaxes(-1, -2)).real
 
 
-def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray, zero_tol: float,
-              h: float, hess_tol: float) -> tuple[list, np.ndarray]:
+def _require_zeros(W: Witness, values, zero_tol: float) -> None:
+    """Raise ValueError for the first value that is not a zero.
+
+    :raises ValueError: if some |f_A| exceeds ``zero_tol * max(1, ||A||)``.
+    """
+    values = np.atleast_1d(values)
+    bad = np.flatnonzero(np.abs(values) > zero_tol * max(1.0, hs_norm(W.matrix)))
+    if bad.size:
+        raise ValueError(
+            f"not a zero: |f| = {abs(values[bad[0]]):.3e} exceeds {zero_tol:.1e} "
+            "(relative)"
+        )
+
+
+def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray,
+              zero_tol: float) -> tuple[list, np.ndarray]:
     """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
 
     :return: (kinds, spectra) with one ascending spectrum row per zero.
@@ -344,53 +353,38 @@ def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray, zero_tol: float,
     """
     Phi = np.asarray(Phi, dtype=complex)
     Chi = np.asarray(Chi, dtype=complex)
-    scale = hs_norm(W.matrix)
-    if hess_tol is None:
-        hess_tol = 1e-7 * scale
-    f0 = biquadratic_form(W, Phi, Chi)
-    bad = np.flatnonzero(np.abs(f0) > zero_tol * max(1.0, scale))
-    if bad.size:
-        raise ValueError(
-            f"not a zero: |f| = {abs(f0[bad[0]]):.3e} exceeds {zero_tol:.1e} "
-            "(relative)"
-        )
-    D_phi, D_chi = _tangent_directions(Phi, Chi)
-    spectra = np.empty(D_phi.shape[:2])
+    _require_zeros(W, biquadratic_form(W, Phi, Chi), zero_tol)
+    dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
+    spectra = np.empty((Phi.shape[0], dim))
     for b in range(0, Phi.shape[0], CLASSIFY_CHUNK):
         c = slice(b, b + CLASSIFY_CHUNK)
-        H_h, H_half = (_fd_hessian(W, Phi[c], Chi[c], f0[c], D_phi[c], D_chi[c], s)
-                       for s in (h, h / 2.0))
-        H = (4.0 * H_half - H_h) / 3.0  # Richardson: cancels the O(h^2) error
-        H = (H + H.swapaxes(-1, -2)) / 2.0
-        spectra[c] = np.linalg.eigvalsh(H)
+        spectra[c] = np.linalg.eigvalsh(_hessian(W, Phi[c], Chi[c]))
+    hess_tol = HESS_TOL * hs_norm(W.matrix)
     kinds = ["quartic" if low < hess_tol else "quadratic" for low in spectra[:, 0]]
     return kinds, spectra
 
 
 def classify_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
-                  zero_tol: float = 1e-9, h: float = HESS_STEP,
-                  hess_tol: float = None) -> tuple[str, np.ndarray]:
+                  zero_tol: float = 1e-9) -> tuple[str, np.ndarray]:
     """Classify a zero as quadratic or quartic via the tangent Hessian.
 
-    Builds the real Hessian of f_A on the 2(m-1) + 2(n-1) dimensional
-    tangent space (orthogonal complements of phi and chi, real and
-    imaginary directions) by central finite differences at steps h and
-    h/2, Richardson-extrapolates, and reports the eigenvalues. The zero
-    is quartic iff the smallest eigenvalue is below ``hess_tol``
-    (default 1e-7 * ||A||).
+    Builds the exact real Hessian of f_A on the 2(m-1) + 2(n-1)
+    dimensional tangent space (orthogonal complements of phi and chi,
+    real and imaginary directions) in closed form: f_A is biquadratic,
+    so its second derivatives are the Gram matrix of the first-order
+    variations of phi (x) chi under A plus the cross term of the mixed
+    second-order variation. The zero is quartic iff the smallest
+    eigenvalue is below :data:`HESS_TOL` * ||A||.
 
     :param W: witness.
     :param phi: unit vector, m side.
     :param chi: unit vector, n side.
-    :param zero_tol: maximal |f_A| accepted as a zero.
-    :param h: base finite-difference step on unit tangent directions.
-    :param hess_tol: threshold separating zero from positive eigenvalues.
+    :param zero_tol: maximal |f_A| accepted as a zero (relative).
     :return: (kind, ascending Hessian eigenvalues).
     :raises ValueError: if f_A(phi, chi) exceeds ``zero_tol``.
     """
     kinds, spectra = _classify(W, np.asarray(phi, dtype=complex)[None],
-                               np.asarray(chi, dtype=complex)[None],
-                               zero_tol, h, hess_tol)
+                               np.asarray(chi, dtype=complex)[None], zero_tol)
     return kinds[0], spectra[0]
 
 
@@ -443,36 +437,35 @@ def _cluster_sizes(Phi: np.ndarray, Chi: np.ndarray,
 
 
 def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
-               tol: float = 1e-9, max_iter: int = 200,
-               dedup_tol: float = DEDUP_TOL,
-               chain_overlap: float = CHAIN_OVERLAP,
-               cluster_k: int = CLUSTER_K) -> list:
+               tol: float = 1e-9) -> list:
     """Search for zeros from random starts, deduplicate, and classify.
 
-    Runs the alternation of :func:`alternating_minimize` from ``starts``
-    Haar-random phi vectors, polishes each result by the pattern search
-    of :func:`refine_zero`, keeps results
-    with value at most ``tol * max(1, ||A||)``, merges candidates whose
-    overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds 1 - ``dedup_tol``
-    (keeping the lowest value), classifies each survivor, and finally
-    chains survivors with pairwise overlap above ``chain_overlap``:
-    connected components with more than ``cluster_k`` members have their
-    zeros flagged as continuum candidates. Every phase runs once over
-    the stack of all starts, and each start ends where it ends when
-    searched alone.
+    Runs the alternation of :func:`alternating_minimize` (at most
+    :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors,
+    polishes each result by the pattern search of :func:`refine_zero`,
+    keeps results with value at most ``tol * max(1, ||A||)``, merges
+    candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
+    1 - :data:`DEDUP_TOL` (keeping the lowest value), classifies each
+    survivor, and finally chains survivors with pairwise overlap above
+    :data:`CHAIN_OVERLAP`: connected components with more than
+    :data:`CLUSTER_K` members have their zeros flagged as continuum
+    candidates. Every phase runs once over the stack of all starts, and
+    each start ends where it ends when searched alone.
 
     :param W: witness.
-    :param starts: number of random starting vectors.
+    :param starts: number of random starting vectors (0 finds nothing).
     :param seed: RNG seed for the starts.
     :param tol: relative acceptance threshold on the minimized value.
-    :param max_iter: sweep cap per start.
     :return: list of :class:`ProductZero`, values ascending.
+    :raises ValueError: if ``starts`` is negative.
     """
+    if starts < 0:
+        raise ValueError(f"starts must be >= 0, got {starts}")
     rng = np.random.default_rng(seed)
     scale = max(1.0, hs_norm(W.matrix))
     # Start k draws m real parts, then m imaginary parts.
-    draws = rng.normal(size=(max(starts, 0), 2, W.m))
-    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1], max_iter, 0.0)
+    draws = rng.normal(size=(starts, 2, W.m))
+    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1], SWEEP_CAP, 0.0)
     # Alternation alone creeps sublinearly into quartic valleys;
     # polish to working precision before accepting or rejecting.
     Phi, Chi, values = _refine(W, _canonical_phase(Phi), REFINE_H0, REFINE_MIN_H,
@@ -483,15 +476,15 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
         return []
     # Deduplicate: keep the best representative of each overlap class.
     order = accepted[np.argsort(values[accepted], kind="stable")]
-    reps = order[_dedup(Phi[order], Chi[order], dedup_tol)]
+    reps = order[_dedup(Phi[order], Chi[order], DEDUP_TOL)]
     Phi, Chi, values = Phi[reps], Chi[reps], values[reps]
     # Chain distinct zeros into clusters to flag continua.
-    sizes = _cluster_sizes(Phi, Chi, chain_overlap)
-    kinds, spectra = _classify(W, Phi, Chi, tol, HESS_STEP, None)
+    sizes = _cluster_sizes(Phi, Chi, CHAIN_OVERLAP)
+    kinds, spectra = _classify(W, Phi, Chi, tol)
     return [
         ProductZero(phi=Phi[i], chi=Chi[i], value=float(values[i]),
                     kind=kinds[i], hessian_spectrum=spectra[i],
-                    continuum=bool(sizes[i] > cluster_k))
+                    continuum=bool(sizes[i] > CLUSTER_K))
         for i in range(len(reps))
     ]
 
@@ -565,12 +558,7 @@ def image_rank_at_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
     """
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    scale = max(1.0, hs_norm(W.matrix))
-    f0 = biquadratic_form(W, phi, chi)
-    if abs(f0) > zero_tol * scale:
-        raise ValueError(
-            f"not a zero: |f| = {abs(f0):.3e} exceeds {zero_tol:.1e} (relative)"
-        )
+    _require_zeros(W, biquadratic_form(W, phi, chi), zero_tol)
     Y = apply_map(W, np.outer(phi, phi.conj()))
     X = apply_transposed_map(W, np.outer(chi, chi.conj()))
 

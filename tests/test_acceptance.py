@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import posmap
 from posmap.bipartite import (Witness, apply_map, biquadratic_form,
                               diagnostics, partial_transpose, tensor)
 from posmap.builtin import (RingParams, bloch_to_state, choi_lam_tangent_section,
@@ -288,6 +289,9 @@ def test_criterion_11_cli_determinism(tmp_path):
     t0 = time.perf_counter()
     env = dict(os.environ)
     env.pop("POSMAP_SEED", None)
+    # run the CLI from the source tree of the imported package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "posmap", *args],

@@ -6,14 +6,18 @@ import sys
 import numpy as np
 import pytest
 
+import posmap
 from posmap.serialize import witness_from_json
 
 CLI = [sys.executable, "-m", "posmap"]
+# Source directory of the imported package: the CLI subprocess runs it too.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(posmap.__file__)))
 
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("POSMAP_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
@@ -150,6 +154,19 @@ def test_exit_2_on_bad_flags():
     assert proc.returncode == 2
     proc2 = run_cli("zeros", "--builtin", "choi-lam", "--scale", "sideways")
     assert proc2.returncode == 2
+    # counts below 1 and tolerances not finite and above 0 are usage errors
+    for args in (("zeros", "--builtin", "choi-lam", "--starts", "-5"),
+                 ("zeros", "--builtin", "choi-lam", "--tol", "-1"),
+                 ("normalize", "--builtin", "choi-lam", "--tol", "inf"),
+                 ("section", "--builtin", "choi-lam", "--type", "A",
+                  "--samples", "0", "--output", "unused.csv"),
+                 ("section", "--builtin", "choi-lam", "--type", "A",
+                  "--samples", "-3", "--output", "unused.csv"),
+                 ("rings", "--samples", "-1"),
+                 ("normalize", "--builtin", "choi-lam", "--max-iter", "0")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
 
 
 def test_cli_deterministic_bytes(tmp_path):

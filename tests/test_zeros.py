@@ -59,7 +59,7 @@ def test_classify_printed_zero_quartic():
     assert kind == "quartic"
     assert spec.shape == (8,)
     expected = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
-    assert np.abs(spec - expected).max() < 1e-6
+    assert np.abs(spec - expected).max() < 1e-12
 
 
 def test_classify_continuum_zero_quartic():
@@ -82,7 +82,7 @@ def test_classify_quadratic_zero():
     kind, spec = classify_zero(W, e[0], e[1])
     assert kind == "quadratic"
     assert spec.shape == (4,)
-    assert spec[0] > 0.5
+    assert np.abs(spec - 2.0).max() < 1e-12
 
 
 def test_classify_rejects_non_zero():
@@ -107,6 +107,19 @@ def test_find_zeros_choi_lam():
     for z in zeros:
         assert z.kind == "quartic"
         assert abs(z.value) < 1e-9
+
+
+@pytest.mark.parametrize("name, starts, seed",
+                         [("choi-lam", 60, 7), ("horodecki-2x4", 30, 2)])
+def test_quartic_zeros_clear_hessian_threshold(name, starts, seed):
+    """The exact Hessian puts the null eigenvalues of quartic zeros far
+    below the quadratic/quartic threshold, not within rounding of it."""
+    W = WITNESSES[name]()
+    zeros = find_zeros(W, starts=starts, seed=seed)
+    assert zeros
+    margin = 0.1 * zeros_mod.HESS_TOL * hs_norm(W.matrix)
+    for z in zeros:
+        assert abs(z.hessian_spectrum[0]) < margin
 
 
 def test_find_zeros_deterministic():
@@ -208,7 +221,8 @@ def _sequential_alternation(W, phi, max_iter, tol):
 
 
 def _sequential_spectrum(W, phi, chi, h=1e-4):
-    """One-zero Richardson-extrapolated finite-difference tangent Hessian."""
+    """One-zero Richardson-extrapolated finite-difference tangent Hessian,
+    an independent reference for the closed form of the classification."""
     f0 = biquadratic_form(W, phi, chi)
     U, V = zeros_mod._tangent_frame(phi), zeros_mod._tangent_frame(chi)
     zm, zn = np.zeros(W.m, dtype=complex), np.zeros(W.n, dtype=complex)
@@ -305,12 +319,14 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
     monkeypatch.setattr(zeros_mod, "CLASSIFY_CHUNK", 3)   # several chunks
-    kinds, spectra = zeros_mod._classify(W, Phi, Chi, 1e-9, 1e-4, None)
+    kinds, spectra = zeros_mod._classify(W, Phi, Chi, 1e-9)
     for i in range(len(Phi)):
         kind, spectrum = classify_zero(W, Phi[i], Chi[i])
         assert kinds[i] == kind
         assert np.array_equal(spectra[i], spectrum)
-        assert np.array_equal(spectra[i], _sequential_spectrum(W, Phi[i], Chi[i]))
+        # the finite-difference reference carries its own rounding noise
+        reference = _sequential_spectrum(W, Phi[i], Chi[i])
+        assert np.abs(spectra[i] - reference).max() <= 1e-6
 
 
 def test_cluster_sizes_match_pairwise_union_find(monkeypatch):
@@ -368,5 +384,7 @@ def test_find_zeros_single_start():
 
 def test_find_zeros_no_starts():
     assert find_zeros(choi_lam_witness(), starts=0) == []
+    with pytest.raises(ValueError):
+        find_zeros(choi_lam_witness(), starts=-5)
     # an interior witness has no zeros: its one start is rejected
     assert find_zeros(Witness(3, 3, np.eye(9)), starts=1) == []
