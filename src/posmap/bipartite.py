@@ -14,6 +14,11 @@ and the transposed map M^T (the Hilbert-Schmidt adjoint, <Y, M X> =
 <M^T Y, X>) comes from the same block tensor read the other way. A is
 positive semidefinite iff M is completely positive; A is merely blockwise
 positive on product vectors iff M is a positive map.
+
+Both maps run as one matrix product: the inputs are flattened to rows
+of length m^2 (resp. n^2) and multiplied by the block tensor reshaped to
+an (m^2, n^2) (resp. (n^2, m^2)) matrix, one BLAS GEMM for a whole stack.
+A row's result does not depend on the other rows of its stack.
 """
 
 from dataclasses import dataclass, field
@@ -131,36 +136,60 @@ def partial_trace_2(W: Witness) -> np.ndarray:
     return np.einsum("ijkj->ik", W.blocks)
 
 
+def _rows_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The product V @ T of a 2-d row stack, rounded alike for every stack size."""
+    if V.shape[0] == 1:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from a row of gemm; a doubled row keeps it on gemm.
+        return (np.concatenate([V, V]) @ T)[:1]
+    return V @ T
+
+
 def apply_map(W: Witness, X: np.ndarray) -> np.ndarray:
     """Apply the map of the witness: M(X)_{jl} = sum_{ik} A_{ij;kl} X_{ki}.
 
     Sends Hermitian m x m input to Hermitian n x n output, elementwise
-    over any leading stack axes of X. The input is not validated;
-    complex-linear action on arbitrary X is intentional.
+    over any leading stack axes of X, as one matrix product of the rows
+    X_{ki} (flattened to length m^2) with the (m^2, n^2) matrix
+    T_{ki, jl} = A_{ij;kl}. The input is not validated; complex-linear
+    action on arbitrary X is intentional.
     """
-    return np.einsum("ijkl,...ki->...jl", W.blocks, np.asarray(X, dtype=complex))
+    X = np.asarray(X, dtype=complex)
+    T = W.blocks.transpose(2, 0, 1, 3).reshape(W.m * W.m, W.n * W.n)
+    Y = _rows_times(X.reshape(-1, W.m * W.m), T)
+    return Y.reshape(X.shape[:-2] + (W.n, W.n))
 
 
 def apply_transposed_map(W: Witness, Y: np.ndarray) -> np.ndarray:
     """Apply the Hilbert-Schmidt adjoint: M^T(Y)_{ik} = sum_{jl} A_{ij;kl} Y_{lj}.
 
-    Broadcasts over leading stack axes of Y like :func:`apply_map`.
+    Broadcasts over leading stack axes of Y like :func:`apply_map`: one
+    matrix product of the rows Y_{lj} (length n^2) with the (n^2, m^2)
+    matrix T_{lj, ik} = A_{ij;kl}.
     """
-    return np.einsum("ijkl,...lj->...ik", W.blocks, np.asarray(Y, dtype=complex))
+    Y = np.asarray(Y, dtype=complex)
+    T = W.blocks.transpose(3, 1, 0, 2).reshape(W.n * W.n, W.m * W.m)
+    X = _rows_times(Y.reshape(-1, W.n * W.n), T)
+    return X.reshape(Y.shape[:-2] + (W.m, W.m))
 
 
 def biquadratic_form(W: Witness, phi: np.ndarray,
                      chi: np.ndarray) -> float | np.ndarray:
     """Evaluate f_A(phi, chi) = (phi (x) chi)^dag A (phi (x) chi).
 
-    Real for any Hermitian witness; equals chi^dag M(phi phi^dag) chi.
-    For single vectors the result is a float; for stacks of vectors
-    (leading axes of phi and chi) an array with one value per pair.
+    Computed as chi^dag (M(phi phi^dag) chi): :func:`apply_map` on the
+    outer products, then two vector contractions. Real for any Hermitian
+    witness. For single vectors the result is a float; for stacks of
+    vectors (leading axes of phi and chi) an array with one value per
+    pair.
     """
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    val = np.einsum("ijkl,...k,...i,...l,...j->...", W.blocks, phi, phi.conj(),
-                    chi, chi.conj()).real
+    Y = apply_map(W, phi[..., :, None] * phi.conj()[..., None, :])
+    # Two steps: the one-step three-operand einsum rounds a row of a
+    # stack of one differently for n = 2.
+    Y_chi = np.einsum("...jl,...l->...j", Y, chi)
+    val = np.einsum("...j,...j->...", chi.conj(), Y_chi).real
     return float(val) if val.ndim == 0 else val
 
 
@@ -171,8 +200,7 @@ def map_matrix(W: Witness) -> MapMatrix:
     """
     E = hermitian_basis(W.m)
     F = hermitian_basis(W.n)
-    # M(E_a) for all a at once: contract witness blocks with the basis stack.
-    images = np.einsum("ijkl,aki->ajl", W.blocks, E)
+    images = apply_map(W, E)
     coeffs = np.einsum("bjl,alj->ba", F, images).real
     return MapMatrix(W.m, W.n, coeffs)
 

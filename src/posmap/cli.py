@@ -60,6 +60,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def dimension(text: str) -> int:
+    """Argument type of factor dimensions: an integer >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """Argument type of tolerances: a finite number > 0."""
     value = float(text)
@@ -97,7 +105,7 @@ def _add_witness_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--input", help="witness JSON file")
     group.add_argument("--builtin", choices=BUILTIN_NAMES,
                        help="named builtin witness")
-    parser.add_argument("--dim", type=int, default=3,
+    parser.add_argument("--dim", type=dimension, default=3,
                         help="dimension for identity/transposition (default 3)")
     parser.add_argument("--scale", choices=("map", "paper"), default="map",
                         help="choi-lam normalization (default map)")
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("builtin", help="emit a builtin witness as JSON")
     p.add_argument("name", choices=BUILTIN_NAMES)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=dimension, default=3)
     p.add_argument("--scale", choices=("map", "paper"), default="map")
     p.add_argument("--output", help="witness JSON path (default stdout)")
     p.set_defaults(func=_cmd_builtin)

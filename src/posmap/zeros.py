@@ -39,6 +39,7 @@ from .hermitian import hermitian_basis, hs_norm
 __all__ = [
     "ProductZero",
     "ConstraintSystem",
+    "NotBlockPositiveError",
     "alternating_minimize",
     "refine_zero",
     "find_zeros",
@@ -88,6 +89,23 @@ class ConstraintSystem:
     zero_count: int
 
 
+class NotBlockPositiveError(ValueError):
+    """The biquadratic form takes a negative value: A is not a witness.
+
+    ``phi`` and ``chi`` are the unit vectors of the product vector found,
+    ``value`` is f_A there.
+    """
+
+    def __init__(self, phi: np.ndarray, chi: np.ndarray, value: float):
+        self.phi = phi
+        self.chi = chi
+        self.value = value
+        super().__init__(
+            f"not block-positive: f = {value:.6e} < 0 at "
+            f"phi = {phi.tolist()}, chi = {chi.tolist()}"
+        )
+
+
 # Pattern-search refinement: initial poll step, the step at which it
 # stops, its cap on objective evaluations, and the poll directions of one
 # frame column in polling order.
@@ -108,9 +126,10 @@ CLASSIFY_CHUNK = 64
 
 # The kernels below run one operation over a stack of starts or zeros,
 # one row per start. Every stacked step repeats, row by row, the exact
-# floating-point operations of a single-vector computation (stacked
-# einsum, eigh, eigvalsh and qr reproduce their per-matrix results), so
-# a start's result does not depend on the other rows of its stack.
+# floating-point operations of a single-vector computation (the map
+# kernels' GEMM, which also serves a one-row stack, and stacked einsum,
+# eigh, eigvalsh and qr reproduce their per-matrix results), so a
+# start's result does not depend on the other rows of its stack.
 
 
 def _outer(V: np.ndarray) -> np.ndarray:
@@ -458,6 +477,8 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :param tol: relative acceptance threshold on the minimized value.
     :return: list of :class:`ProductZero`, values ascending.
     :raises ValueError: if ``starts`` is negative.
+    :raises NotBlockPositiveError: if a polished start has a value below
+        ``-tol * max(1, ||A||)``; it carries the lowest such start.
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
@@ -470,6 +491,10 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     # polish to working precision before accepting or rejecting.
     Phi, Chi, values = _refine(W, _canonical_phase(Phi), REFINE_H0, REFINE_MIN_H,
                                 REFINE_BUDGET)
+    # A negative minimum is no zero: the input is not a witness.
+    if starts and values.min() < -tol * scale:
+        low = int(np.argmin(values))
+        raise NotBlockPositiveError(Phi[low], Chi[low], float(values[low]))
     values = np.abs(values)
     accepted = np.flatnonzero(values <= tol * scale)
     if not accepted.size:

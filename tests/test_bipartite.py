@@ -12,6 +12,7 @@ from posmap.bipartite import (Witness, apply_map, apply_transposed_map,
 from posmap.builtin import (horodecki_2x4_witness, identity_witness,
                             transposition_witness)
 from posmap.hermitian import hs_inner, hs_norm
+from posmap.zeros import EVAL_CHUNK
 
 
 def _random_witness(rng, m, n):
@@ -131,6 +132,78 @@ def test_partial_traces_on_tensor():
     W = Witness(2, 3, tensor(B, C))
     assert np.abs(partial_trace_1(W) - np.trace(B) * C).max() < 1e-13
     assert np.abs(partial_trace_2(W) - np.trace(C) * B).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Map kernels: the GEMM form against the defining index contractions.
+# ---------------------------------------------------------------------------
+
+def _reference_map(W, X):
+    return np.einsum("ijkl,...ki->...jl", W.blocks, X)
+
+
+def _reference_transposed_map(W, Y):
+    return np.einsum("ijkl,...lj->...ik", W.blocks, Y)
+
+
+def _reference_form(W, phi, chi):
+    return np.einsum("ijkl,...k,...i,...l,...j->...", W.blocks, phi, phi.conj(),
+                     chi, chi.conj()).real
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2)])
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+def test_map_kernels_match_einsum_reference(m, n, stack):
+    rng = np.random.default_rng(22)
+    W = _random_witness(rng, m, n)
+    tol = 1e-13 * max(1.0, hs_norm(W.matrix))
+    X = _complex(rng, stack + (m, m))
+    Y = _complex(rng, stack + (n, n))
+    phi = _complex(rng, stack + (m,))
+    chi = _complex(rng, stack + (n,))
+    phi /= np.linalg.norm(phi, axis=-1, keepdims=True)
+    chi /= np.linalg.norm(chi, axis=-1, keepdims=True)
+    image = apply_map(W, X)
+    assert image.shape == stack + (n, n)
+    assert np.abs(image - _reference_map(W, X)).max() <= tol
+    preimage = apply_transposed_map(W, Y)
+    assert preimage.shape == stack + (m, m)
+    assert np.abs(preimage - _reference_transposed_map(W, Y)).max() <= tol
+    f = biquadratic_form(W, phi, chi)
+    assert np.shape(f) == stack
+    assert isinstance(f, float) == (stack == ())
+    assert np.abs(f - _reference_form(W, phi, chi)).max() <= tol
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2)])
+def test_map_kernels_row_independent_of_stack(m, n):
+    """A row gets the same bits alone and in stacks of 2, 3 and
+    EVAL_CHUNK + 1 rows, though BLAS runs a one-row product on gemv."""
+    rng = np.random.default_rng(23)
+    W = _random_witness(rng, m, n)
+    count = EVAL_CHUNK + 1
+    X = _complex(rng, (count, m, m))
+    Y = _complex(rng, (count, n, n))
+    phi = _complex(rng, (count, m))
+    chi = _complex(rng, (count, n))
+    stacked = (apply_map(W, X), apply_transposed_map(W, Y),
+               biquadratic_form(W, phi, chi))
+
+    def kernels(rows):
+        return (apply_map(W, X[rows]), apply_transposed_map(W, Y[rows]),
+                biquadratic_form(W, phi[rows], chi[rows]))
+
+    for k in (1, 2, 3):
+        for rows in (slice(0, k), slice(count - k, count)):
+            for part, full in zip(kernels(rows), stacked):
+                assert np.array_equal(part, full[rows])
+    for i in (0, count - 1):
+        for part, full in zip(kernels(i), stacked):
+            assert np.array_equal(part, full[i])
 
 
 def test_map_matrix_roundtrip():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import posmap
-from posmap.serialize import witness_from_json
+from posmap.bipartite import Witness
+from posmap.serialize import witness_from_json, witness_to_json
 
 CLI = [sys.executable, "-m", "posmap"]
 # Source directory of the imported package: the CLI subprocess runs it too.
@@ -163,10 +164,28 @@ def test_exit_2_on_bad_flags():
                  ("section", "--builtin", "choi-lam", "--type", "A",
                   "--samples", "-3", "--output", "unused.csv"),
                  ("rings", "--samples", "-1"),
-                 ("normalize", "--builtin", "choi-lam", "--max-iter", "0")):
+                 ("normalize", "--builtin", "choi-lam", "--max-iter", "0"),
+                 ("builtin", "identity", "--dim", "1"),
+                 ("inspect", "--builtin", "identity", "--dim", "0"),
+                 ("builtin", "identity", "--dim", "-2")):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == ""
+
+
+PLUS = np.eye(3).reshape(9) / np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("matrix", [-np.eye(9),
+                                    np.eye(9) / 9.0 - 0.5 * np.outer(PLUS, PLUS)])
+def test_zeros_exit_4_on_non_witness(tmp_path, matrix):
+    """Input that is not block-positive fails loudly, not as "no zeros"."""
+    w = tmp_path / "w.json"
+    w.write_text(witness_to_json(Witness(3, 3, matrix)))
+    proc = run_cli("zeros", "--input", str(w), "--starts", "5")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "not block-positive" in proc.stderr
 
 
 def test_cli_deterministic_bytes(tmp_path):

@@ -6,9 +6,9 @@ from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
                             horodecki_2x4_witness)
 from posmap.hermitian import hs_norm
 import posmap.zeros as zeros_mod
-from posmap.zeros import (alternating_minimize, classify_zero, constraint_rank,
-                          constraint_rows, find_zeros, image_rank_at_zero,
-                          refine_zero)
+from posmap.zeros import (NotBlockPositiveError, alternating_minimize,
+                          classify_zero, constraint_rank, constraint_rows,
+                          find_zeros, image_rank_at_zero, refine_zero)
 
 PRINTED_ZEROS = ((0, 2), (1, 0), (2, 1))  # (phi index, chi index)
 
@@ -388,3 +388,25 @@ def test_find_zeros_no_starts():
         find_zeros(choi_lam_witness(), starts=-5)
     # an interior witness has no zeros: its one start is rejected
     assert find_zeros(Witness(3, 3, np.eye(9)), starts=1) == []
+
+
+def _max_entangled_witness():
+    """I/9 - |Phi+><Phi+|/2: f = 1/9 - |<Phi+|phi chi>|^2 / 2 >= -1/18."""
+    plus = np.eye(3).reshape(9) / np.sqrt(3.0)
+    return Witness(3, 3, np.eye(9) / 9.0 - 0.5 * np.outer(plus, plus))
+
+
+@pytest.mark.parametrize("make, minimum", [
+    (lambda: Witness(3, 3, -np.eye(9)), -1.0),
+    (_max_entangled_witness, 1.0 / 9.0 - 1.0 / 6.0),
+])
+def test_find_zeros_rejects_non_block_positive(make, minimum):
+    """A negative minimum is reported with its product vector, not as
+    "no zeros found"."""
+    W = make()
+    with pytest.raises(NotBlockPositiveError) as info:
+        find_zeros(W, starts=10, seed=1)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert abs(err.value - minimum) < 1e-9
+    assert abs(biquadratic_form(W, err.phi, err.chi) - err.value) < 1e-12
