@@ -28,7 +28,7 @@ banner("Alternation stalls, pattern-search refinement lands")
 rng = np.random.default_rng(5)
 phi0 = e[1] + 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
 phi0 /= np.linalg.norm(phi0)
-phi_a, chi_a, f_a = posmap.alternating_minimize(W, phi0, max_iter=200)
+phi_a, chi_a, f_a = posmap.alternating_minimize(W, phi0)
 print("after 200 alternating sweeps: f =", f_a)
 phi_r, chi_r, f_r = posmap.refine_zero(W, phi_a)
 print("after pattern-search refinement: f =", f_r)

@@ -13,11 +13,9 @@ map.
 """
 
 from .hermitian import (
-    Spectrum,
     as_hermitian,
     basis_coords,
     eig_hermitian,
-    from_basis_coords,
     hermitian_basis,
     hs_inner,
     hs_norm,
@@ -26,7 +24,6 @@ from .hermitian import (
     sqrt_psd,
 )
 from .bipartite import (
-    MapMatrix,
     Witness,
     apply_map,
     apply_transposed_map,
@@ -45,12 +42,10 @@ from .bipartite import (
 from .builtin import (
     RingParams,
     bloch_to_state,
-    choi_lam_continuum_state,
     choi_lam_continuum_zero,
     choi_lam_map,
     choi_lam_tangent_section,
     choi_lam_witness,
-    horodecki_2x4_coefficients,
     horodecki_2x4_map,
     horodecki_2x4_witness,
     identity_witness,
@@ -59,7 +54,6 @@ from .builtin import (
     ring_zero,
     state_to_bloch,
     transposition_witness,
-    unitary_conjugation_witness,
 )
 from .normalize import NormalizationResult, contraction_spectrum, normalize
 from .zeros import (
@@ -70,7 +64,6 @@ from .zeros import (
     constraint_rank,
     constraint_rows,
     find_zeros,
-    image_rank_at_zero,
     refine_zero,
 )
 from .sections import (
@@ -85,24 +78,21 @@ from .sections import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Spectrum", "as_hermitian", "basis_coords", "eig_hermitian",
-    "from_basis_coords", "hermitian_basis", "hs_inner", "hs_norm",
-    "inv_pd", "min_eig", "sqrt_psd",
-    "MapMatrix", "Witness", "apply_map", "apply_transposed_map",
-    "biquadratic_form", "diagnostics", "map_matrix", "partial_trace_1",
-    "partial_trace_2", "partial_transpose", "product_transform",
-    "product_vector", "tensor", "witness_from_map",
-    "witness_from_map_matrix",
-    "RingParams", "bloch_to_state", "choi_lam_continuum_state",
-    "choi_lam_continuum_zero", "choi_lam_map", "choi_lam_tangent_section",
-    "choi_lam_witness", "horodecki_2x4_coefficients", "horodecki_2x4_map",
-    "horodecki_2x4_witness", "identity_witness", "ring_common_zeros",
-    "ring_points", "ring_zero", "state_to_bloch", "transposition_witness",
-    "unitary_conjugation_witness",
+    "as_hermitian", "basis_coords", "eig_hermitian", "hermitian_basis",
+    "hs_inner", "hs_norm", "inv_pd", "min_eig", "sqrt_psd",
+    "Witness", "apply_map", "apply_transposed_map", "biquadratic_form",
+    "diagnostics", "map_matrix", "partial_trace_1", "partial_trace_2",
+    "partial_transpose", "product_transform", "product_vector", "tensor",
+    "witness_from_map", "witness_from_map_matrix",
+    "RingParams", "bloch_to_state", "choi_lam_continuum_zero",
+    "choi_lam_map", "choi_lam_tangent_section", "choi_lam_witness",
+    "horodecki_2x4_map", "horodecki_2x4_witness", "identity_witness",
+    "ring_common_zeros", "ring_points", "ring_zero", "state_to_bloch",
+    "transposition_witness",
     "NormalizationResult", "contraction_spectrum", "normalize",
     "ConstraintSystem", "ProductZero", "alternating_minimize",
     "classify_zero", "constraint_rank", "constraint_rows", "find_zeros",
-    "image_rank_at_zero", "refine_zero",
+    "refine_zero",
     "BoundaryCurve", "SectionPlane", "plane_from_states", "project_point",
     "scan_boundary", "section_of_type",
 ]

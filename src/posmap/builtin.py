@@ -1,10 +1,10 @@
 """Reference witnesses and maps.
 
-Three elementary families (identity map, transposition, unitary
-conjugation), the classic extremal positive map on 3 x 3 matrices with
-its witness and zero structure, and an extremal positive map from 2 x 2
-to 4 x 4 matrices defined by nineteen fixed decimal constants, whose
-witness has two rings of quartic zeros on the Bloch sphere.
+Two elementary maps (identity and transposition), the classic extremal
+positive map on 3 x 3 matrices with its witness and zero structure, and
+an extremal positive map from 2 x 2 to 4 x 4 matrices defined by
+nineteen fixed decimal constants, whose witness has two rings of
+quartic zeros on the Bloch sphere.
 
 The 2 x 4 constants are embedded as decimal strings and parsed once at
 import; they are never retyped elsewhere. As published, the (4,2) entry
@@ -24,15 +24,12 @@ from .bipartite import Witness, witness_from_map
 __all__ = [
     "identity_witness",
     "transposition_witness",
-    "unitary_conjugation_witness",
     "choi_lam_map",
     "choi_lam_witness",
-    "choi_lam_continuum_state",
     "choi_lam_continuum_zero",
     "choi_lam_tangent_section",
     "horodecki_2x4_map",
     "horodecki_2x4_witness",
-    "horodecki_2x4_coefficients",
     "RingParams",
     "ring_zero",
     "ring_points",
@@ -54,20 +51,6 @@ def identity_witness(k: int) -> Witness:
 def transposition_witness(k: int) -> Witness:
     """Witness of the transposition map X -> X^T."""
     return witness_from_map(k, k, lambda X: X.T)
-
-
-def unitary_conjugation_witness(U: np.ndarray) -> Witness:
-    """Witness of X -> U X U^dag for a unitary U.
-
-    :raises ValueError: if U is not square and unitary to 1e-10.
-    """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {U.shape}")
-    k = U.shape[0]
-    if np.linalg.norm(U.conj().T @ U - np.eye(k)) > 1e-10:
-        raise ValueError("matrix is not unitary")
-    return witness_from_map(k, k, lambda X: U @ X @ U.conj().T)
 
 
 # =============================================================================
@@ -109,23 +92,13 @@ def choi_lam_witness(scale: str = "map") -> Witness:
     raise ValueError(f"unknown scale {scale!r}, expected 'map' or 'paper'")
 
 
-def choi_lam_continuum_state(alpha: float, beta: float) -> np.ndarray:
-    """Rank-one density matrix phi phi^dag / 3 on the zero continuum.
-
-    phi = (e^{i alpha}, e^{i beta}, 1); the witness vanishes on
-    phi (x) phi for every (alpha, beta), and the map sends this state to
-    (1/2)(3 rho_0 - rho) with rho_0 = I/3, a rank-2 boundary state with
-    phi in its kernel.
-    """
-    phi = np.array([np.exp(1j * alpha), np.exp(1j * beta), 1.0])
-    return np.outer(phi, phi.conj()) / 3.0
-
-
 def choi_lam_continuum_zero(alpha: float, beta: float) -> np.ndarray:
     """Unit product-zero vector phi/sqrt(3) with phi = (e^{ia}, e^{ib}, 1).
 
     The witness biquadratic form vanishes on (phi, chi) exactly when chi
-    is proportional to phi.
+    is proportional to phi, and the map sends the state
+    rho = phi phi^dag / 3 to (1/2)(3 rho_0 - rho) with rho_0 = I/3, a
+    rank-2 boundary state with phi in its kernel.
     """
     phi = np.array([np.exp(1j * alpha), np.exp(1j * beta), 1.0])
     return phi / np.sqrt(3.0)
@@ -134,14 +107,15 @@ def choi_lam_continuum_zero(alpha: float, beta: float) -> np.ndarray:
 def choi_lam_tangent_section() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinguished section triple (rho0, rho1, rho2) at a continuum zero.
 
-    rho0 = I/3, rho1 = the continuum state at alpha = beta = 0, and
-    rho2 = rho1 + D where D = (i/3)(e2 (e1+e3)^dag - (e1+e3) e2^dag) spans
-    the tangent direction of the continuum at rho1. In the image frame
-    the plane axes come out as a = sqrt(6), b = 3.
+    rho0 = I/3, rho1 = the continuum state phi phi^dag / 3 with
+    phi = (1, 1, 1) (alpha = beta = 0), and rho2 = rho1 + D where
+    D = (i/3)(e2 (e1+e3)^dag - (e1+e3) e2^dag) spans the tangent
+    direction of the continuum at rho1. In the image frame the plane axes
+    come out as a = sqrt(6), b = 3.
     """
     rho0 = np.eye(3, dtype=complex) / 3.0
-    rho1 = choi_lam_continuum_state(0.0, 0.0)
     phi = np.array([1.0, 1.0, 1.0], dtype=complex)
+    rho1 = np.outer(phi, phi.conj()) / 3.0
     xi = np.array([0.0, 1j, 0.0])
     D = (np.outer(xi, phi.conj()) + np.outer(phi, xi.conj())) / 3.0
     return rho0, rho1, rho1 + D
@@ -198,12 +172,8 @@ def _build_coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return b0, b1, b2, b3
 
 
+# The coefficient matrices (B0, B1, B2, B3) of the 2 -> 4 map.
 _B0, _B1, _B2, _B3 = _build_coefficients()
-
-
-def horodecki_2x4_coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficient matrices (B0, B1, B2, B3) of the 2 -> 4 map."""
-    return _B0.copy(), _B1.copy(), _B2.copy(), _B3.copy()
 
 
 def horodecki_2x4_map(X: np.ndarray) -> np.ndarray:

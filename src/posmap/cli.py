@@ -47,25 +47,24 @@ def _resolve_seed(seed: int) -> int:
     if env is None:
         return seed
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise FormatError(f"POSMAP_SEED must be an integer, got {env!r}")
-
-
-def positive_int(text: str) -> int:
-    """Argument type of counts: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < 0:
+        raise FormatError(f"POSMAP_SEED must be >= 0, got {value}")
     return value
 
 
-def dimension(text: str) -> int:
-    """Argument type of factor dimensions: an integer >= 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+def at_least(lo: int):
+    """Argument type of an integer >= lo: counts (1), seeds (0) and
+    factor dimensions (2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in "invalid int value"
+    return parse
 
 
 def positive_float(text: str) -> float:
@@ -105,7 +104,7 @@ def _add_witness_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--input", help="witness JSON file")
     group.add_argument("--builtin", choices=BUILTIN_NAMES,
                        help="named builtin witness")
-    parser.add_argument("--dim", type=dimension, default=3,
+    parser.add_argument("--dim", type=at_least(2), default=3,
                         help="dimension for identity/transposition (default 3)")
     parser.add_argument("--scale", choices=("map", "paper"), default="map",
                         help="choi-lam normalization (default map)")
@@ -227,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transform to unital, trace preserving form")
     _add_witness_source(p)
     p.add_argument("--tol", type=positive_float, default=1e-12)
-    p.add_argument("--max-iter", type=positive_int, default=200)
+    p.add_argument("--max-iter", type=at_least(1), default=200)
     p.add_argument("--output", help="result JSON path (default stdout)")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("zeros", help="locate and classify product zeros")
     _add_witness_source(p)
-    p.add_argument("--starts", type=positive_int, default=500)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--starts", type=at_least(1), default=500)
+    p.add_argument("--seed", type=at_least(0), default=42)
     p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--output", help="zeros JSON path (default stdout)")
     p.set_defaults(func=_cmd_zeros)
@@ -242,21 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("section", help="boundary curves of a 2D section")
     _add_witness_source(p)
     p.add_argument("--type", required=True, choices=SECTION_TYPES)
-    p.add_argument("--samples", type=positive_int, default=720)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=at_least(1), default=720)
+    p.add_argument("--seed", type=at_least(0), default=42)
     p.add_argument("--output", required=True, help="curve CSV path")
     p.add_argument("--svg", help="optional SVG rendering path")
     p.set_defaults(func=_cmd_section)
 
     p = sub.add_parser("builtin", help="emit a builtin witness as JSON")
     p.add_argument("name", choices=BUILTIN_NAMES)
-    p.add_argument("--dim", type=dimension, default=3)
+    p.add_argument("--dim", type=at_least(2), default=3)
     p.add_argument("--scale", choices=("map", "paper"), default="map")
     p.add_argument("--output", help="witness JSON path (default stdout)")
     p.set_defaults(func=_cmd_builtin)
 
     p = sub.add_parser("rings", help="sample the 2x4 map's zero rings")
-    p.add_argument("--samples", type=positive_int, default=1000)
+    p.add_argument("--samples", type=at_least(1), default=1000)
     p.add_argument("--a", type=float, default=defaults.a)
     p.add_argument("--b", type=float, default=defaults.b)
     p.add_argument("--theta0", type=float, default=defaults.theta0)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Relative tolerance for accepting "Hermitian up to rounding" input.
-DEFAULT_HERM_TOL = 1e-8
+HERM_TOL = 1e-8
 # Relative clamp below which small negative eigenvalues are treated as zero.
 PSD_CLAMP_TOL = 1e-10
 # Relative floor below which a positive matrix is considered singular.
@@ -32,25 +32,29 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_hermitian(entries, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def as_hermitian(entries) -> np.ndarray:
     """Validate a square array as Hermitian and return its symmetrization.
 
     :param entries: square array-like with complex entries.
-    :param tol: relative tolerance on the anti-Hermitian part.
     :return: ``(X + X^dag)/2`` as a complex ndarray.
-    :raises ValueError: if the input is not square or the anti-Hermitian
-        part exceeds ``tol`` relative to ``max(1, ||X||)``.
+    :raises ValueError: if the input is not square, has an entry that is
+        not finite, or its anti-Hermitian part exceeds :data:`HERM_TOL`
+        relative to ``max(1, ||X||)``.
     """
     X = np.asarray(entries, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
+    # A NaN fails every comparison, so the Hermiticity test below would
+    # let it through.
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has an entry that is not finite")
     herm = (X + X.conj().T) / 2.0
     skew = np.linalg.norm(X - herm)
     scale = max(1.0, np.linalg.norm(X))
-    if skew > tol * scale:
+    if skew > HERM_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: anti-Hermitian norm {skew:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"exceeds {HERM_TOL:.1e} * {scale:.3e}"
         )
     return herm
 
@@ -92,19 +96,18 @@ def min_eig(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(X)[0])
 
 
-def sqrt_psd(X: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def sqrt_psd(X: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite matrix.
 
-    Eigenvalues in ``[-clamp_tol * ||X||, 0)`` are clamped to zero before
-    taking the root; anything more negative is rejected.
+    Eigenvalues in ``[-PSD_CLAMP_TOL * ||X||, 0)`` are clamped to zero
+    before taking the root; anything more negative is rejected.
 
     :param X: Hermitian positive-semidefinite matrix.
-    :param clamp_tol: relative clamp for rounding-level negative eigenvalues.
     :return: Hermitian PSD matrix S with ``S @ S = X``.
     :raises ValueError: if X has an eigenvalue below the clamp window.
     """
     vals, vecs = np.linalg.eigh(X)
-    floor = -clamp_tol * max(1e-300, float(np.abs(vals).max()))
+    floor = -PSD_CLAMP_TOL * max(1e-300, float(np.abs(vals).max()))
     if vals[0] < floor:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}"
@@ -113,18 +116,18 @@ def sqrt_psd(X: np.ndarray, clamp_tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def inv_pd(X: np.ndarray, eps_pd: float = PD_EPS) -> np.ndarray:
+def inv_pd(X: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive-definite matrix via eigendecomposition.
 
+    Eigenvalues at or below ``PD_EPS * max|eigenvalue|`` count as singular.
+
     :param X: Hermitian positive-definite matrix.
-    :param eps_pd: relative definiteness floor; eigenvalues at or below
-        ``eps_pd * max|eigenvalue|`` are treated as singular.
     :return: Hermitian inverse.
     :raises ValueError: if X is not strictly positive definite; the message
         carries the offending eigenvalue.
     """
     vals, vecs = np.linalg.eigh(X)
-    if vals[0] <= eps_pd * max(1e-300, float(np.abs(vals).max())):
+    if vals[0] <= PD_EPS * max(1e-300, float(np.abs(vals).max())):
         raise ValueError(
             f"matrix is not positive definite: min eigenvalue {vals[0]:.3e}"
         )
@@ -171,8 +174,3 @@ def hermitian_basis(k: int) -> np.ndarray:
 def basis_coords(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in an orthonormal basis."""
     return np.einsum("aij,ji->a", basis, X).real
-
-
-def from_basis_coords(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Hermitian matrix with the given real coordinates in ``basis``."""
-    return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), basis)

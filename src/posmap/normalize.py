@@ -36,10 +36,13 @@ from .hermitian import hermitian_basis, hs_norm, inv_pd, sqrt_psd
 
 __all__ = [
     "NormalizationResult",
-    "iterate_step",
     "normalize",
     "contraction_spectrum",
 ]
+
+# Relative tolerance on the step residual of a fixed point handed to
+# :func:`contraction_spectrum`.
+FIXED_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,10 @@ class NormalizationResult:
     converged: bool
 
 
-def iterate_step(W: Witness, X: np.ndarray) -> np.ndarray:
-    """One step of the fixed-point iteration, gauge-rescaled to Tr = m.
+def _inverse_images(W: Witness, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S^{-1}, G) with S = M(X) and G = ( M^T(S^{-1}) )^{-1}.
 
-    X -> ( M^T( (M(X))^{-1} ) )^{-1}, then rescaled. Requires M(X) and
-    the subsequent transposed image to be positive definite.
+    G is the step image before the gauge rescale.
 
     :raises ValueError: if an intermediate matrix is not positive
         definite (the map is not strictly positive on the iterate).
@@ -79,23 +81,35 @@ def iterate_step(W: Witness, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"map image is not positive definite: {exc}") from exc
     T = apply_transposed_map(W, S_inv)
     try:
-        X_next = inv_pd(T)
+        G = inv_pd(T)
     except ValueError as exc:
         raise ValueError(
             f"transposed-map image is not positive definite: {exc}"
         ) from exc
-    return X_next * (W.m / np.trace(X_next).real)
+    return S_inv, G
+
+
+def _step(W: Witness, X: np.ndarray) -> np.ndarray:
+    """One step of the fixed-point iteration, gauge-rescaled to Tr = m.
+
+    X -> ( M^T( (M(X))^{-1} ) )^{-1}, then rescaled. Requires M(X) and
+    the subsequent transposed image to be positive definite.
+
+    :raises ValueError: as :func:`_inverse_images`.
+    """
+    _, G = _inverse_images(W, X)
+    return G * (W.m / np.trace(G).real)
 
 
 def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
               x0: np.ndarray = None) -> NormalizationResult:
     """Drive the witness map to (scaled) unital and trace-preserving form.
 
-    Iterates :func:`iterate_step` from ``x0`` (default I_m) until the
-    Hilbert-Schmidt step norm ||X_{k+1} - X_k|| falls to ``tol`` or
-    ``max_iter`` steps elapse. On convergence the returned witness
-    satisfies both normalization conditions exactly at the fixed point
-    (up to the step tolerance).
+    Iterates the step X -> ( M^T( (M(X))^{-1} ) )^{-1}, rescaled to
+    Tr X = m, from ``x0`` (default I_m) until the Hilbert-Schmidt step
+    norm ||X_{k+1} - X_k|| falls to ``tol`` or ``max_iter`` steps elapse.
+    On convergence the returned witness satisfies both normalization
+    conditions exactly at the fixed point (up to the step tolerance).
 
     :param W: witness whose map is strictly positive on the iterates.
     :param tol: stopping tolerance on the step norm.
@@ -103,8 +117,8 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
         result, not raised.
     :param x0: optional positive-definite start, any normalization.
     :return: :class:`NormalizationResult`.
-    :raises ValueError: propagated from :func:`iterate_step` when an
-        iterate leaves the positive-definite domain.
+    :raises ValueError: when an iterate leaves the positive-definite
+        domain of the step.
     """
     m, n = W.m, W.n
     if x0 is None:
@@ -116,7 +130,7 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        X_next = iterate_step(W, X)
+        X_next = _step(W, X)
         step = hs_norm(X_next - X)
         history.append(step)
         X = X_next
@@ -135,12 +149,12 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
     )
 
 
-def contraction_spectrum(W: Witness, X: np.ndarray,
-                         fp_tol: float = 1e-8) -> np.ndarray:
+def contraction_spectrum(W: Witness, X: np.ndarray) -> np.ndarray:
     """Local contraction rates of the iteration at a fixed point.
 
     Linearizes the gauge-rescaled step around X (which must satisfy the
-    fixed-point equation to ``fp_tol``, relative). The derivative maps
+    fixed-point equation to :data:`FIXED_POINT_TOL`, relative). The
+    derivative is applied to the whole traceless basis at once; it maps
     the traceless subspace to itself and annihilates the gauge direction
     along X; its matrix on the traceless orthonormal basis is
     eigen-solved and the eigenvalue magnitudes are returned sorted in
@@ -150,38 +164,30 @@ def contraction_spectrum(W: Witness, X: np.ndarray,
     builtin witness every magnitude equals 1/4.
 
     :param W: witness.
-    :param X: fixed point of :func:`iterate_step`, Tr X = m.
-    :param fp_tol: relative tolerance on the fixed-point residual.
+    :param X: fixed point of the step, Tr X = m.
     :return: descending eigenvalue magnitudes, shape (m*m - 1,).
-    :raises ValueError: if X is not a fixed point to ``fp_tol``.
+    :raises ValueError: if X is not a fixed point to :data:`FIXED_POINT_TOL`.
     """
     m = W.m
     X = np.asarray(X, dtype=complex)
-    resid = hs_norm(iterate_step(W, X) - X)
-    if resid > fp_tol * max(1.0, hs_norm(X)):
+    S_inv, g = _inverse_images(W, X)    # g = (m/n) X at the fixed point
+    trg = np.trace(g).real
+    resid = hs_norm(g * (m / trg) - X)
+    if resid > FIXED_POINT_TOL * max(1.0, hs_norm(X)):
         raise ValueError(
             f"not a fixed point: step residual {resid:.3e} exceeds "
-            f"{fp_tol:.1e} (relative)"
+            f"{FIXED_POINT_TOL:.1e} (relative)"
         )
-    S_inv = inv_pd(apply_map(W, X))
-    T = apply_transposed_map(W, S_inv)
-    g = inv_pd(T)          # unrescaled step image G(X); g = (m/n) X at the fixed point
-    trg = np.trace(g).real
-
-    def deriv(delta: np.ndarray) -> np.ndarray:
-        # derivative of G: chain rule through the two inversions
-        dS = apply_map(W, delta)
-        dT = apply_transposed_map(W, -S_inv @ dS @ S_inv)
-        dG = -g @ dT @ g
-        # derivative of the gauge rescale Z -> m Z / Tr Z at Z = g
-        return (m / trg) * dG - (m * np.trace(dG).real / trg**2) * g
-
     basis = hermitian_basis(m)[1:]  # traceless part only
-    dim = m * m - 1
-    mat = np.empty((dim, dim))
-    for a in range(dim):
-        image = deriv(basis[a])
-        mat[:, a] = np.einsum("bij,ji->b", basis, image).real
+    # derivative of G on every basis element: chain rule through the two
+    # inversions
+    dS = apply_map(W, basis)
+    dT = apply_transposed_map(W, -S_inv @ dS @ S_inv)
+    dG = -g @ dT @ g
+    # derivative of the gauge rescale Z -> m Z / Tr Z at Z = g
+    tr_dG = np.trace(dG, axis1=-2, axis2=-1).real
+    images = (m / trg) * dG - (m * tr_dG / trg**2)[:, None, None] * g
+    mat = np.einsum("bij,aji->ba", basis, images).real
     eigs = np.linalg.eigvals(mat)
     mags = np.abs(eigs)
     return np.sort(mags)[::-1]

@@ -35,6 +35,9 @@ __all__ = [
 GRAM_TOL = 1e-14
 TRACE_TOL = 1e-10
 R_MAX = 1e3
+# Feasibility threshold of a boundary scan: a matrix whose minimum
+# eigenvalue is at least -BOUNDARY_TOL counts as positive semidefinite.
+BOUNDARY_TOL = 1e-10
 
 CURVE_LABELS = ("source", "image_of_source", "image_plane")
 
@@ -289,7 +292,7 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
 # =============================================================================
 
 def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
-               theta: np.ndarray, tol_b: float) -> np.ndarray:
+               theta: np.ndarray) -> np.ndarray:
     """Largest feasible radius per ray, batched bracketing + bisection.
 
     Feasibility along a ray is an interval [0, r*] because the minimum
@@ -302,7 +305,7 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
 
     def feasible(rr):
         X = origin[None, :, :] + rr[:, None, None] * U
-        return np.linalg.eigvalsh(X)[:, 0] >= -tol_b
+        return np.linalg.eigvalsh(X)[:, 0] >= -BOUNDARY_TOL
 
     r = np.zeros(n)
     alive = feasible(np.zeros(n))
@@ -339,8 +342,7 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
 
 
 def scan_boundary(plane: SectionPlane, transform: str = "none",
-                  W: Witness = None, n_theta: int = 720,
-                  tol_b: float = 1e-10) -> BoundaryCurve:
+                  W: Witness = None, n_theta: int = 720) -> BoundaryCurve:
     """Scan a positivity boundary curve in a section plane.
 
     transform="none" scans X = rho0 + xB + yC and labels the curve
@@ -356,14 +358,13 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     :param W: witness providing the map; required for "image_plane" when
         the plane does not carry image axes (i.e. norm_frame="source").
     :param n_theta: number of uniformly spaced rays on [0, 2 pi).
-    :param tol_b: feasibility threshold on the minimum eigenvalue.
     :return: BoundaryCurve with n_theta polar samples.
     :raises ValueError: unknown transform, a missing witness, or an
         unbounded section (impossible for trace-one planes).
     """
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     if transform in ("none", "map"):
-        r = _scan_rays(plane.rho0, plane.B, plane.C, theta, tol_b)
+        r = _scan_rays(plane.rho0, plane.B, plane.C, theta)
         label = "source" if transform == "none" else "image_of_source"
         return BoundaryCurve(theta, r, label)
     if transform != "image_plane":
@@ -380,7 +381,7 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     if abs(np.trace(origin).real - 1.0) > TRACE_TOL:
         raise ValueError("image origin is not trace-one; "
                          "the map must preserve trace on the plane")
-    r = _scan_rays(origin, Bi, Ci, theta, tol_b)
+    r = _scan_rays(origin, Bi, Ci, theta)
     return BoundaryCurve(theta, r, "image_plane")
 
 

@@ -86,7 +86,14 @@ def hermitian_from_obj(obj) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                            for v in pair)):
             raise FormatError(f"entry {i} is not a [re, im] number pair")
-        flat[i] = complex(pair[0], pair[1])
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError:   # an integer beyond the float range
+            flat[i] = np.inf
+    # json parses NaN and Infinity, which are no matrix entries.
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"entry {bad[0]} is not finite: {flat[bad[0]]}")
     return flat.reshape(dim, dim)
 
 

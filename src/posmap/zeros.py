@@ -46,7 +46,6 @@ __all__ = [
     "classify_zero",
     "constraint_rows",
     "constraint_rank",
-    "image_rank_at_zero",
 ]
 
 # Overlap above which two candidates count as the same zero.
@@ -115,8 +114,13 @@ REFINE_BUDGET = 6000
 POLL_STEPS = np.array([1.0, -1.0, 1j, -1j])
 # Sweep cap of the alternation.
 SWEEP_CAP = 200
+# Largest |f_A|, relative to max(1, ||A||), that classify_zero accepts as a zero.
+ZERO_TOL = 1e-9
 # Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
 HESS_TOL = 1e-7
+# Singular values above this share of the largest count toward a
+# constraint rank.
+RANK_TOL = 1e-10
 # Row blocks that bound the working set of the stacked kernels: vectors
 # per stacked eigenvalue evaluation, rows per block of the pairwise
 # overlap matrix, and zeros per stacked Hessian.
@@ -180,9 +184,12 @@ def _tangent_frame(V: np.ndarray) -> np.ndarray:
     return q[..., :, 1:k]
 
 
-def _alternate(W: Witness, Phi: np.ndarray, max_iter: int,
-               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _alternate(W: Witness,
+               Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked alternating minimization; each start keeps its own stop rule.
+
+    A start stops once a sweep no longer lowers its value, or after
+    :data:`SWEEP_CAP` sweeps.
 
     :return: (Phi, Chi, values); vectors unit norm, phases not canonical.
     """
@@ -190,7 +197,7 @@ def _alternate(W: Witness, Phi: np.ndarray, max_iter: int,
     Chi = _min_eigvec(apply_map(W, _outer(Phi)))
     values = biquadratic_form(W, Phi, Chi)
     active = np.arange(Phi.shape[0])
-    for _ in range(max_iter):
+    for _ in range(SWEEP_CAP):
         if not active.size:
             break
         phi = _min_eigvec(apply_transposed_map(W, _outer(Chi[active])))
@@ -199,32 +206,28 @@ def _alternate(W: Witness, Phi: np.ndarray, max_iter: int,
         Phi[active] = phi
         Chi[active] = chi
         old = values[active]
-        stop = old - new <= tol
-        # A stopping start keeps min(old, new); the others take new.
-        values[active] = np.where(stop & ~(new < old), old, new)
+        stop = new >= old
+        # A stopping start keeps its old, lower value; the others take new.
+        values[active] = np.where(stop, old, new)
         active = active[~stop]
     return Phi, Chi, values
 
 
-def alternating_minimize(W: Witness, phi0: np.ndarray, max_iter: int = SWEEP_CAP,
-                         tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+def alternating_minimize(W: Witness,
+                         phi0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize f_A over product vectors by alternating eigenvector steps.
 
     Given phi, the optimal chi is the minimal eigenvector of
     M(phi phi^dag); given chi, the optimal phi is the minimal eigenvector
-    of M^T(chi chi^dag). The value decreases monotonically. Stops when
-    the decrease per sweep is at most ``tol`` (so tol = 0 runs until the
-    value stops improving at working precision) or after ``max_iter``
-    sweeps.
+    of M^T(chi chi^dag). The value decreases monotonically. Stops when a
+    sweep no longer lowers the value at working precision, or after
+    :data:`SWEEP_CAP` sweeps.
 
     :param W: witness.
     :param phi0: starting vector on the m side, any nonzero norm.
-    :param max_iter: sweep cap.
-    :param tol: absolute stopping threshold on the per-sweep decrease.
     :return: (phi, chi, value) with unit vectors, phases canonicalized.
     """
-    Phi, Chi, values = _alternate(W, np.asarray(phi0, dtype=complex)[None],
-                                  max_iter, tol)
+    Phi, Chi, values = _alternate(W, np.asarray(phi0, dtype=complex)[None])
     return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
             float(values[0]))
 
@@ -238,14 +241,17 @@ def _min_eigvals(W: Witness, Phi: np.ndarray) -> np.ndarray:
     return g
 
 
-def _refine(W: Witness, Phi: np.ndarray, h0: float, min_h: float,
-            budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine(W: Witness,
+            Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked tangent pattern search; each start polls on its own.
 
-    A poll round evaluates all 4(m - 1) candidates of every active start
-    at once and moves each start to its first improving candidate in
-    polling order (frame column major, then +h, -h, +ih, -ih), charging
-    the evaluations a sequential poll makes up to that candidate.
+    Each start polls from the step :data:`REFINE_H0` until its step falls
+    to :data:`REFINE_MIN_H` or it has spent :data:`REFINE_BUDGET`
+    evaluations. A poll round evaluates all 4(m - 1) candidates of every
+    active start at once and moves each start to its first improving
+    candidate in polling order (frame column major, then +h, -h, +ih,
+    -ih), charging the evaluations a sequential poll makes up to that
+    candidate.
 
     :return: (Phi, Chi, values), unit vectors with canonical phases.
     """
@@ -253,7 +259,8 @@ def _refine(W: Witness, Phi: np.ndarray, h0: float, min_h: float,
     count, m = Phi.shape
     polls = 4 * (m - 1)
     best = _min_eigvals(W, Phi)
-    h = np.full(count, float(h0))
+    min_h, budget = REFINE_MIN_H, REFINE_BUDGET
+    h = np.full(count, float(REFINE_H0))
     evals = np.zeros(count, dtype=int)
     active = np.flatnonzero((h > min_h) & (evals < budget))
     while active.size:
@@ -277,29 +284,25 @@ def _refine(W: Witness, Phi: np.ndarray, h0: float, min_h: float,
     return _canonical_phase(Phi), _canonical_phase(Chi), values
 
 
-def refine_zero(W: Witness, phi: np.ndarray, h0: float = REFINE_H0,
-                min_h: float = REFINE_MIN_H,
-                budget: int = REFINE_BUDGET) -> tuple[np.ndarray, np.ndarray, float]:
+def refine_zero(W: Witness,
+                phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Polish a near-zero to working precision by tangent pattern search.
 
     Minimizes the eliminated objective g(phi) = min-eigenvalue of
     M(phi phi^dag) (the optimal chi is the corresponding eigenvector, so
     f = g at the optimum) by coordinate polling over the tangent frame of
-    phi with a geometrically shrinking step. Gradient and Newton steps
-    degenerate in the quartically flat valleys around quartic zeros; the
-    direct search does not, and descends until the step or the eigenvalue
-    differences reach working precision.
+    phi with a geometrically shrinking step, from :data:`REFINE_H0` down
+    to :data:`REFINE_MIN_H` within :data:`REFINE_BUDGET` evaluations.
+    Gradient and Newton steps degenerate in the quartically flat valleys
+    around quartic zeros; the direct search does not, and descends until
+    the step or the eigenvalue differences reach working precision.
 
     :param W: witness.
     :param phi: approximate zero, m side (any nonzero norm); the chi
         side is recomputed as the minimal eigenvector at the result.
-    :param h0: initial poll step.
-    :param min_h: poll step below which the search stops.
-    :param budget: cap on objective evaluations.
     :return: (phi, chi, value), unit vectors with canonical phases.
     """
-    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None],
-                               h0, min_h, budget)
+    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None])
     return Phi[0], Chi[0], float(values[0])
 
 
@@ -349,30 +352,23 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     return (S + S.swapaxes(-1, -2)).real
 
 
-def _require_zeros(W: Witness, values, zero_tol: float) -> None:
-    """Raise ValueError for the first value that is not a zero.
+def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray,
+              zero_tol: float) -> tuple[list, np.ndarray]:
+    """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
 
-    :raises ValueError: if some |f_A| exceeds ``zero_tol * max(1, ||A||)``.
+    :return: (kinds, spectra) with one ascending spectrum row per zero.
+    :raises ValueError: for the first row whose |f_A| exceeds
+        ``zero_tol * max(1, ||A||)``.
     """
-    values = np.atleast_1d(values)
+    Phi = np.asarray(Phi, dtype=complex)
+    Chi = np.asarray(Chi, dtype=complex)
+    values = biquadratic_form(W, Phi, Chi)
     bad = np.flatnonzero(np.abs(values) > zero_tol * max(1.0, hs_norm(W.matrix)))
     if bad.size:
         raise ValueError(
             f"not a zero: |f| = {abs(values[bad[0]]):.3e} exceeds {zero_tol:.1e} "
             "(relative)"
         )
-
-
-def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray,
-              zero_tol: float) -> tuple[list, np.ndarray]:
-    """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
-
-    :return: (kinds, spectra) with one ascending spectrum row per zero.
-    :raises ValueError: for the first row that is not a zero.
-    """
-    Phi = np.asarray(Phi, dtype=complex)
-    Chi = np.asarray(Chi, dtype=complex)
-    _require_zeros(W, biquadratic_form(W, Phi, Chi), zero_tol)
     dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
     spectra = np.empty((Phi.shape[0], dim))
     for b in range(0, Phi.shape[0], CLASSIFY_CHUNK):
@@ -383,8 +379,8 @@ def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray,
     return kinds, spectra
 
 
-def classify_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
-                  zero_tol: float = 1e-9) -> tuple[str, np.ndarray]:
+def classify_zero(W: Witness, phi: np.ndarray,
+                  chi: np.ndarray) -> tuple[str, np.ndarray]:
     """Classify a zero as quadratic or quartic via the tangent Hessian.
 
     Builds the exact real Hessian of f_A on the 2(m-1) + 2(n-1)
@@ -398,12 +394,12 @@ def classify_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
     :param W: witness.
     :param phi: unit vector, m side.
     :param chi: unit vector, n side.
-    :param zero_tol: maximal |f_A| accepted as a zero (relative).
     :return: (kind, ascending Hessian eigenvalues).
-    :raises ValueError: if f_A(phi, chi) exceeds ``zero_tol``.
+    :raises ValueError: if |f_A(phi, chi)| exceeds :data:`ZERO_TOL`
+        (relative).
     """
     kinds, spectra = _classify(W, np.asarray(phi, dtype=complex)[None],
-                               np.asarray(chi, dtype=complex)[None], zero_tol)
+                               np.asarray(chi, dtype=complex)[None], ZERO_TOL)
     return kinds[0], spectra[0]
 
 
@@ -486,11 +482,10 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     scale = max(1.0, hs_norm(W.matrix))
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
-    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1], SWEEP_CAP, 0.0)
+    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
     # Alternation alone creeps sublinearly into quartic valleys;
     # polish to working precision before accepting or rejecting.
-    Phi, Chi, values = _refine(W, _canonical_phase(Phi), REFINE_H0, REFINE_MIN_H,
-                                REFINE_BUDGET)
+    Phi, Chi, values = _refine(W, _canonical_phase(Phi))
     # A negative minimum is no zero: the input is not a witness.
     if starts and values.min() < -tol * scale:
         low = int(np.argmin(values))
@@ -544,13 +539,14 @@ def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return rows
 
 
-def constraint_rank(W: Witness, zeros, rank_tol: float = 1e-10) -> ConstraintSystem:
+def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     """Stack the constraint rows of several zeros and report the rank.
+
+    Singular values above :data:`RANK_TOL` times the largest count toward
+    the rank.
 
     :param W: witness.
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
-    :param rank_tol: singular values above ``rank_tol`` times the largest
-        count toward the rank.
     :return: :class:`ConstraintSystem`.
     """
     blocks = []
@@ -564,38 +560,5 @@ def constraint_rank(W: Witness, zeros, rank_tol: float = 1e-10) -> ConstraintSys
         count += 1
     rows = np.vstack(blocks)
     sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     return ConstraintSystem(rows=rows, rank=rank, zero_count=count)
-
-
-def image_rank_at_zero(W: Witness, phi: np.ndarray, chi: np.ndarray,
-                       zero_tol: float = 1e-9,
-                       rank_tol: float = 1e-8) -> dict:
-    """Ranks and kernel checks of the map images at a zero.
-
-    Y = M(phi phi^dag) has chi in its kernel and X = M^T(chi chi^dag)
-    has phi in its kernel; for an extremal witness with a regular zero
-    the ranks are n - 1 and m - 1.
-
-    :return: dict with Y, X, their ranks, and the kernel residuals
-        ||Y chi||, ||X phi||.
-    :raises ValueError: if (phi, chi) is not a zero to ``zero_tol``.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    _require_zeros(W, biquadratic_form(W, phi, chi), zero_tol)
-    Y = apply_map(W, np.outer(phi, phi.conj()))
-    X = apply_transposed_map(W, np.outer(chi, chi.conj()))
-
-    def num_rank(M):
-        sv = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(sv > rank_tol * max(sv[0], 1e-300)))
-
-    return {
-        "Y": Y,
-        "X": X,
-        "rank_Y": num_rank(Y),
-        "rank_X": num_rank(X),
-        "kernel_residual_Y": float(np.linalg.norm(Y @ chi)),
-        "kernel_residual_X": float(np.linalg.norm(X @ phi)),
-    }

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from posmap.bipartite import (apply_map, apply_transposed_map,
                               biquadratic_form, diagnostics,
                               partial_transpose)
-from posmap.builtin import (RingParams, bloch_to_state, choi_lam_continuum_state,
-                            choi_lam_continuum_zero, choi_lam_map,
-                            choi_lam_tangent_section, choi_lam_witness,
-                            horodecki_2x4_coefficients, horodecki_2x4_map,
+import posmap.builtin as builtin_mod
+from posmap.builtin import (RingParams, bloch_to_state, choi_lam_continuum_zero,
+                            choi_lam_map, choi_lam_tangent_section,
+                            choi_lam_witness, horodecki_2x4_map,
                             horodecki_2x4_witness, identity_witness,
                             ring_common_zeros, ring_points, ring_zero,
-                            state_to_bloch, transposition_witness,
-                            unitary_conjugation_witness)
+                            state_to_bloch, transposition_witness)
 
 # the printed integer form of the partially transposed witness, 2x map scale
 W_P = np.array([
@@ -36,15 +35,6 @@ def test_identity_and_transposition_witnesses():
     assert np.abs(apply_map(Wi, X) - X).max() < 1e-14
     Wt = transposition_witness(3)
     assert np.abs(apply_map(Wt, X) - X.T).max() < 1e-14
-
-
-def test_unitary_conjugation_witness():
-    rng = np.random.default_rng(21)
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    W = unitary_conjugation_witness(Q)
-    X = rng.standard_normal((3, 3))
-    X = X + X.T
-    assert np.abs(apply_map(W, X) - Q @ X @ Q.conj().T).max() < 1e-13
 
 
 def test_choi_lam_map_formula():
@@ -115,7 +105,8 @@ def test_choi_lam_continuum_zeros(alpha, beta):
 def test_choi_lam_continuum_state_image():
     """M(rho(alpha, beta)) = (3 rho0 - rho) / 2 on the continuum states."""
     W = choi_lam_witness()
-    rho = choi_lam_continuum_state(0.7, -1.3)
+    phi = choi_lam_continuum_zero(0.7, -1.3)
+    rho = np.outer(phi, phi.conj())
     assert abs(np.trace(rho) - 1.0) < 1e-14
     expected = 0.5 * (np.eye(3) - rho)
     assert np.abs(apply_map(W, rho) - expected).max() < 1e-14
@@ -132,7 +123,8 @@ def test_choi_lam_tangent_section_states():
 
 
 def test_horodecki_coefficients():
-    B0, B1, B2, B3 = horodecki_2x4_coefficients()
+    B0, B1, B2, B3 = (builtin_mod._B0, builtin_mod._B1, builtin_mod._B2,
+                      builtin_mod._B3)
     for B in (B0, B1, B2, B3):
         assert B.shape == (4, 4)
         assert np.abs(B - B.conj().T).max() == 0.0

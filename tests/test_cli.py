@@ -167,10 +167,32 @@ def test_exit_2_on_bad_flags():
                  ("normalize", "--builtin", "choi-lam", "--max-iter", "0"),
                  ("builtin", "identity", "--dim", "1"),
                  ("inspect", "--builtin", "identity", "--dim", "0"),
-                 ("builtin", "identity", "--dim", "-2")):
+                 ("builtin", "identity", "--dim", "-2"),
+                 ("zeros", "--builtin", "choi-lam", "--seed", "-1"),
+                 ("section", "--builtin", "choi-lam", "--type", "A",
+                  "--seed", "-1", "--output", "unused.csv")):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == ""
+    # a negative seed from the environment is a usage error as well
+    proc = run_cli("zeros", "--builtin", "choi-lam", "--starts", "3",
+                   env_extra={"POSMAP_SEED": "-4"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "POSMAP_SEED" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["inspect", "zeros", "normalize"])
+def test_exit_2_on_non_finite_entry(tmp_path, command):
+    """json reads NaN; a witness file carrying it is bad input."""
+    obj = json.loads(witness_to_json(Witness(3, 3, np.eye(9))))
+    obj["matrix"]["entries"][10] = ["x", 0.0]
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(obj).replace('"x"', "NaN"))
+    proc = run_cli(command, "--input", str(w))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not finite" in proc.stderr
 
 
 PLUS = np.eye(3).reshape(9) / np.sqrt(3.0)

@@ -3,7 +3,8 @@ import pytest
 
 from posmap.bipartite import Witness, apply_map, apply_transposed_map, diagnostics, tensor
 from posmap.builtin import choi_lam_witness, horodecki_2x4_witness, identity_witness
-from posmap.normalize import contraction_spectrum, iterate_step, normalize
+from posmap.hermitian import hermitian_basis
+from posmap.normalize import _step, contraction_spectrum, normalize
 
 
 def _random_cp_witness(rng, m, n, terms=4):
@@ -40,7 +41,7 @@ def test_horodecki_normalization():
     assert d["trace_preservation_residual"] < 1e-10
     # fixed point of the iteration, normalized to Tr X = m
     assert abs(np.trace(res.X).real - 2.0) < 1e-12
-    assert np.abs(iterate_step(horodecki_2x4_witness(), res.X) - res.X).max() < 1e-10
+    assert np.abs(_step(horodecki_2x4_witness(), res.X) - res.X).max() < 1e-10
 
 
 def test_normalize_random_cp():
@@ -76,7 +77,7 @@ def test_iterate_step_rejects_indefinite_image():
     # the transposition witness map sends some PD inputs to singular images
     W = Witness(2, 2, -np.eye(4))
     with pytest.raises(ValueError):
-        iterate_step(W, np.eye(2))
+        _step(W, np.eye(2))
 
 
 def test_history_monotone_tail():
@@ -103,6 +104,30 @@ def test_contraction_spectrum_frozen():
     expected = np.array([0.666406473329494, 0.523063911663889, 0.477196281673258])
     assert sh.shape == (3,)
     assert np.abs(sh - expected).max() < 1e-9
+
+
+def _loop_contraction_spectrum(W, X):
+    """The linearized step built one basis element at a time, with the
+    single-matrix kernels: the reference for the stacked derivative."""
+    m = W.m
+    S_inv = np.linalg.inv(apply_map(W, X))
+    g = np.linalg.inv(apply_transposed_map(W, S_inv))
+    trg = np.trace(g).real
+    basis = hermitian_basis(m)[1:]
+    mat = np.empty((m * m - 1, m * m - 1))
+    for a, E in enumerate(basis):
+        dG = -g @ apply_transposed_map(W, -S_inv @ apply_map(W, E) @ S_inv) @ g
+        image = (m / trg) * dG - (m * np.trace(dG).real / trg**2) * g
+        mat[:, a] = np.einsum("bij,ji->b", basis, image).real
+    return np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2)])
+def test_contraction_spectrum_matches_loop_reference(m, n):
+    W = _random_cp_witness(np.random.default_rng(32 + m), m, n)
+    X = normalize(W).X
+    reference = _loop_contraction_spectrum(W, X)
+    assert np.abs(contraction_spectrum(W, X) - reference).max() < 1e-12
 
 
 def test_contraction_predicts_convergence_rate():

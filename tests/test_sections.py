@@ -197,7 +197,7 @@ def test_scan_rays_unbounded_error():
     # a non-traceless direction keeps X = I + r I positive forever
     theta = np.array([0.0])
     with pytest.raises(ValueError):
-        _scan_rays(np.eye(2), np.eye(2), np.zeros((2, 2)), theta, 1e-10)
+        _scan_rays(np.eye(2), np.eye(2), np.zeros((2, 2)), theta)
 
 
 def test_scan_deterministic():

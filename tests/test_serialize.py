@@ -50,6 +50,16 @@ def test_witness_json_rejects_malformed():
         witness_from_json(json.dumps(obj2))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_witness_json_rejects_non_finite(value):
+    """json parses NaN, Infinity and integers beyond the float range."""
+    obj = json.loads(witness_to_json(choi_lam_witness()))
+    obj["matrix"]["entries"][4] = ["x", 0.0]
+    text = json.dumps(obj).replace('"x"', value)
+    with pytest.raises(FormatError, match="entry 4 is not finite"):
+        witness_from_json(text)
+
+
 def test_witness_json_rejects_non_hermitian():
     obj = json.loads(witness_to_json(choi_lam_witness()))
     obj["matrix"]["entries"][1] = [5.0, 5.0]

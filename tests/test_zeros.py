@@ -8,7 +8,7 @@ from posmap.hermitian import hs_norm
 import posmap.zeros as zeros_mod
 from posmap.zeros import (NotBlockPositiveError, alternating_minimize,
                           classify_zero, constraint_rank, constraint_rows,
-                          find_zeros, image_rank_at_zero, refine_zero)
+                          find_zeros, refine_zero)
 
 PRINTED_ZEROS = ((0, 2), (1, 0), (2, 1))  # (phi index, chi index)
 
@@ -17,7 +17,7 @@ def _overlap(v, w):
     return abs(np.vdot(v, w))
 
 
-def test_alternating_minimize_decreases():
+def test_alternating_minimize_decreases(monkeypatch):
     W = choi_lam_witness()
     rng = np.random.default_rng(40)
     phi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -25,8 +25,10 @@ def test_alternating_minimize_decreases():
     assert abs(np.linalg.norm(phi) - 1) < 1e-12
     assert abs(np.linalg.norm(chi) - 1) < 1e-12
     # each extra sweep can only improve the value
-    _, _, v1 = alternating_minimize(W, phi0, max_iter=1)
-    _, _, v50 = alternating_minimize(W, phi0, max_iter=50)
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 1)
+    _, _, v1 = alternating_minimize(W, phi0)
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 50)
+    _, _, v50 = alternating_minimize(W, phi0)
     assert v50 <= v1 + 1e-15
     assert -1e-12 < value < 1e-3
 
@@ -171,16 +173,18 @@ def test_constraint_rows_against_own_witness():
     assert np.abs(out[1:]).max() < 1e-12
 
 
-def test_image_rank_at_zero():
-    W = choi_lam_witness()
-    e = np.eye(3)
-    info = image_rank_at_zero(W, e[1], e[0])
-    assert info["rank_Y"] == 2
-    assert info["rank_X"] == 2
-    assert info["kernel_residual_Y"] < 1e-12
-    assert info["kernel_residual_X"] < 1e-12
-    with pytest.raises(ValueError):
-        image_rank_at_zero(W, e[0], e[0])
+@pytest.mark.parametrize("witness, starts, seed, rank", [
+    (choi_lam_witness, 500, 42, 80), (horodecki_2x4_witness, 200, 11, 63)],
+    ids=["choi-lam", "horodecki-2x4"])
+def test_builtins_certified_extremal_by_own_zeros(witness, starts, seed, rank):
+    """The constraint rows of a builtin's own zeros have full rank
+    (N^2 - 1 with N = m n): the zeros fix the witness up to scale."""
+    W = witness()
+    zeros = find_zeros(W, starts, seed)
+    system = constraint_rank(W, zeros)
+    assert (W.m * W.n) ** 2 - 1 == rank
+    assert system.rank == rank
+    assert system.zero_count == len(zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +289,29 @@ def _assert_rows_equal(stacked, singles):
 
 
 @pytest.mark.parametrize("name", WITNESSES)
-@pytest.mark.parametrize("max_iter, tol", [(1, 0.0), (200, 0.0), (200, 1e-6)])
-def test_stacked_alternation_matches_single_starts(name, max_iter, tol):
+@pytest.mark.parametrize("max_iter, tol", [(1, 0.0), (200, 0.0)])
+def test_stacked_alternation_matches_single_starts(name, max_iter, tol, monkeypatch):
     W = WITNESSES[name]()
     starts = _starts(W, 12, 50)
-    Phi, Chi, values = zeros_mod._alternate(W, starts, max_iter, tol)
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", max_iter)
+    Phi, Chi, values = zeros_mod._alternate(W, starts)
     stacked = (zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values)
-    _assert_rows_equal(stacked, [alternating_minimize(W, s, max_iter=max_iter, tol=tol)
-                                 for s in starts])
+    _assert_rows_equal(stacked, [alternating_minimize(W, s) for s in starts])
     _assert_rows_equal(stacked, [_sequential_alternation(W, s, max_iter, tol)
                                  for s in starts])
 
 
 @pytest.mark.parametrize("name", WITNESSES)
 @pytest.mark.parametrize("budget", [6000, 20])
-def test_stacked_refine_matches_single_starts(name, budget):
+def test_stacked_refine_matches_single_starts(name, budget, monkeypatch):
     """Batched polling charges a start exactly the evaluations of a
     sequential first-improvement poll: at budget 20 the search stops
     after the same poll round, so the results agree bit for bit."""
     W = WITNESSES[name]()
     phis = list(_starts(W, 10, 51))   # far from zeros: most polls improve
-    stacked = zeros_mod._refine(W, np.array(phis), 0.05, 1e-8, budget)
-    _assert_rows_equal(stacked, [refine_zero(W, p, budget=budget) for p in phis])
+    monkeypatch.setattr(zeros_mod, "REFINE_BUDGET", budget)
+    stacked = zeros_mod._refine(W, np.array(phis))
+    _assert_rows_equal(stacked, [refine_zero(W, p) for p in phis])
     _assert_rows_equal(stacked, [_sequential_refine(W, p, budget=budget) for p in phis])
 
 
@@ -314,7 +319,7 @@ def test_stacked_refine_matches_single_starts(name, budget):
 def test_stacked_classify_matches_single_zeros(name, monkeypatch):
     W = WITNESSES[name]()
     phis = [alternating_minimize(W, s)[0] for s in _starts(W, 12, 52)]
-    Phi, Chi, values = zeros_mod._refine(W, np.array(phis), 0.05, 1e-8, 6000)
+    Phi, Chi, values = zeros_mod._refine(W, np.array(phis))
     found = np.abs(values) <= 1e-9 * max(1.0, hs_norm(W.matrix))
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
@@ -331,7 +336,10 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
 
 def test_cluster_sizes_match_pairwise_union_find(monkeypatch):
     W = choi_lam_witness()
-    Phi, Chi, _ = zeros_mod._refine(W, _starts(W, 40, 53), 0.05, 1e-6, 400)
+    # a coarse search: near-zeros, scattered along the continuum
+    monkeypatch.setattr(zeros_mod, "REFINE_MIN_H", 1e-6)
+    monkeypatch.setattr(zeros_mod, "REFINE_BUDGET", 400)
+    Phi, Chi, _ = zeros_mod._refine(W, _starts(W, 40, 53))
     count = len(Phi)
     parent = list(range(count))
 
