@@ -20,7 +20,6 @@ from .hermitian import (
     hs_inner,
     hs_norm,
     inv_pd,
-    min_eig,
     sqrt_psd,
 )
 from .bipartite import (
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "as_hermitian", "basis_coords", "eig_hermitian", "hermitian_basis",
-    "hs_inner", "hs_norm", "inv_pd", "min_eig", "sqrt_psd",
+    "hs_inner", "hs_norm", "inv_pd", "sqrt_psd",
     "Witness", "apply_map", "apply_transposed_map", "biquadratic_form",
     "diagnostics", "map_matrix", "partial_trace_1", "partial_trace_2",
     "partial_transpose", "product_transform", "product_vector", "tensor",

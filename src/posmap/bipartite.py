@@ -27,10 +27,8 @@ import numpy as np
 
 from .hermitian import (
     as_hermitian,
-    basis_coords,
     eig_hermitian,
     hermitian_basis,
-    hs_inner,
     hs_norm,
 )
 

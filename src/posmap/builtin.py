@@ -212,11 +212,22 @@ class RingParams:
     The defaults are the published values for the witness of
     :func:`horodecki_2x4_map`; other witnesses on the boundary of the
     same face differ only in ``theta0``.
+
+    :raises ValueError: a non-finite parameter, or |b| > 1: then
+        1 + s^2 - b^2 < 0 at the angle where s = 0, and the ring leaves
+        the sphere.
     """
 
     a: float = 0.1807362587783353
     b: float = 0.047422228589395
     theta0: float = 1.121090508802759
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.a, self.b, self.theta0])):
+            raise ValueError("ring parameters a, b and theta0 must be finite")
+        if abs(self.b) > 1.0:
+            raise ValueError(f"ring parameter b must satisfy |b| <= 1, "
+                             f"got {self.b}")
 
 
 # Tolerance below which theta counts as sitting on the denominator zero.

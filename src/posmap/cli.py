@@ -199,7 +199,11 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_rings(args) -> int:
-    params = builtins_mod.RingParams(a=args.a, b=args.b, theta0=args.theta0)
+    try:
+        params = builtins_mod.RingParams(a=args.a, b=args.b,
+                                         theta0=args.theta0)
+    except ValueError as exc:
+        raise FormatError(str(exc))
     theta = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
     plus = builtins_mod.ring_points(theta, params, branch=+1)
     minus = builtins_mod.ring_points(theta, params, branch=-1)

@@ -91,11 +91,6 @@ def eig_hermitian(X: np.ndarray) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def min_eig(X: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(X)[0])
-
-
 def sqrt_psd(X: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite matrix.
 

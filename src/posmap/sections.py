@@ -10,10 +10,12 @@ The constants (a, b, c) orthonormalize either the source axes or, for
 visualizing a positive map, the image axes Mrho1 - Mrho0 and
 Mrho2 - Mrho0 (the same constants then apply on both sides, so one
 coordinate pair (x, y) labels both X = rho0 + xB + yC and its image
-MX simultaneously). Boundary curves are found by polar ray scans:
-for each angle theta the largest radius r is located, by bracketing
-and bisection on the minimum eigenvalue, such that the matrix at
-(r cos theta, r sin theta) is still positive semidefinite.
+MX simultaneously). Boundary curves are polar ray scans in closed
+form: along the ray at angle theta, X = rho0 + r U with
+U = cos(theta) B + sin(theta) C stays positive semidefinite up to
+r* = -1 / lambda_min(L), where L = rho0^(-1/2) U rho0^(-1/2) is taken on
+the face (support) of rho0. The axes must lie in that face, which holds
+for a singular origin whose plane stays on the boundary (type E).
 """
 
 from dataclasses import dataclass, field
@@ -34,9 +36,8 @@ __all__ = [
 
 GRAM_TOL = 1e-14
 TRACE_TOL = 1e-10
-R_MAX = 1e3
-# Feasibility threshold of a boundary scan: a matrix whose minimum
-# eigenvalue is at least -BOUNDARY_TOL counts as positive semidefinite.
+# Face tolerance of a boundary scan, relative to the origin's largest
+# eigenvalue: smaller eigenvalues span the kernel the axes must avoid.
 BOUNDARY_TOL = 1e-10
 
 CURVE_LABELS = ("source", "image_of_source", "image_plane")
@@ -172,9 +173,9 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
     else:
         raise ValueError(f"unknown norm_frame {norm_frame!r}")
 
-    g11 = hs_inner(g1, g1).real
-    g12 = hs_inner(g1, g2).real
-    g22 = hs_inner(g2, g2).real
+    g11 = hs_inner(g1, g1)
+    g12 = hs_inner(g1, g2)
+    g22 = hs_inner(g2, g2)
     gram = g11 * g22 - g12 * g12
     if gram <= GRAM_TOL:
         if norm_frame == "image":
@@ -293,52 +294,38 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
 
 def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
                theta: np.ndarray) -> np.ndarray:
-    """Largest feasible radius per ray, batched bracketing + bisection.
+    """Boundary radius r*(theta) = sup{r : origin + r U(theta) >= 0} per ray.
 
-    Feasibility along a ray is an interval [0, r*] because the minimum
-    eigenvalue is concave in r; bisection is on its sign, which is
-    robust at eigenvalue crossings.
+    With origin = V diag(d) V^dag, its face is spanned by the eigenvectors
+    with d_i > BOUNDARY_TOL * max d. For axes inside that face, whitening
+    with P = V_face diag(d_face)^(-1/2) turns origin + r U >= 0 into
+    I + r L(theta) >= 0, where L(theta) = cos(theta) P^dag B P
+    + sin(theta) P^dag C P, so r*(theta) = -1 / lambda_min(L(theta)):
+    one eigh of the origin and one stacked eigvalsh over the rays.
+
+    :raises ValueError: an origin that is not positive semidefinite, an
+        axis with a component off the origin's face (every radius would
+        be 0), or a ray that never leaves the cone (unbounded section).
     """
-    n = theta.shape[0]
-    U = (np.cos(theta)[:, None, None] * B[None, :, :]
-         + np.sin(theta)[:, None, None] * C[None, :, :])
-
-    def feasible(rr):
-        X = origin[None, :, :] + rr[:, None, None] * U
-        return np.linalg.eigvalsh(X)[:, 0] >= -BOUNDARY_TOL
-
-    r = np.zeros(n)
-    alive = feasible(np.zeros(n))
-    if not np.any(alive):
-        return r
-
-    # Exponential bracketing: grow hi until infeasible on every live ray.
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for _ in range(64):
-        grow = alive & feasible(hi)
-        if not np.any(grow):
-            break
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        if np.any(hi > R_MAX):
-            raise ValueError("unbounded section: no boundary within r <= 1e3")
-    else:
-        raise ValueError("unbounded section: no boundary within r <= 1e3")
-
-    # Bisection to relative width 1e-10; the iteration cap bounds rays
-    # whose boundary radius is exactly zero.
-    for _ in range(100):
-        width = (hi[alive] - lo[alive]) / np.maximum(hi[alive], 1e-300)
-        if np.max(width) <= 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        good = feasible(mid) & alive
-        lo[good] = mid[good]
-        bad = alive & ~good
-        hi[bad] = mid[bad]
-    r[alive] = 0.5 * (lo[alive] + hi[alive])
-    return r
+    d, V = np.linalg.eigh(origin)
+    if d[0] < -BOUNDARY_TOL * np.abs(d).max():
+        raise ValueError(f"section origin is not positive semidefinite "
+                         f"(minimum eigenvalue {d[0]:.3e})")
+    face = d > BOUNDARY_TOL * d[-1]
+    off_face = V[:, ~face].conj().T
+    for axis in (B, C):
+        if (np.linalg.norm(off_face @ axis)
+                > BOUNDARY_TOL * max(1.0, np.linalg.norm(axis))):
+            raise ValueError("section axis leaves the face of the origin: "
+                             "the boundary passes through the origin")
+    P = V[:, face] / np.sqrt(d[face])
+    L = (np.cos(theta)[:, None, None] * (P.conj().T @ B @ P)
+         + np.sin(theta)[:, None, None] * (P.conj().T @ C @ P))
+    lam = np.linalg.eigvalsh(L)[:, 0]
+    if np.any(lam >= 0.0):
+        raise ValueError("unbounded section: a ray never leaves the "
+                         "positive semidefinite cone")
+    return -1.0 / lam
 
 
 def scan_boundary(plane: SectionPlane, transform: str = "none",
@@ -359,8 +346,9 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
         the plane does not carry image axes (i.e. norm_frame="source").
     :param n_theta: number of uniformly spaced rays on [0, 2 pi).
     :return: BoundaryCurve with n_theta polar samples.
-    :raises ValueError: unknown transform, a missing witness, or an
-        unbounded section (impossible for trace-one planes).
+    :raises ValueError: unknown transform, a missing witness, an origin
+        that is not positive semidefinite, an axis off the origin's face,
+        or an unbounded section (impossible for trace-one planes).
     """
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     if transform in ("none", "map"):
@@ -395,4 +383,4 @@ def project_point(plane: SectionPlane, X: np.ndarray) -> tuple[float, float]:
     """
     origin, A1, A2 = plane.frame()
     X = as_hermitian(X)
-    return (hs_inner(X - origin, A1).real, hs_inner(X - origin, A2).real)
+    return (hs_inner(X - origin, A1), hs_inner(X - origin, A2))

@@ -201,6 +201,17 @@ def test_ring_common_zeros():
     assert d.min(axis=1).max() < 1e-10
 
 
+def test_ring_params_validation():
+    """Non-finite parameters and |b| > 1 (the ring leaves the sphere
+    where s = 0) are rejected; |b| = 1 keeps the ring on the sphere."""
+    for bad in (dict(b=2.0), dict(b=-1.5), dict(a=np.nan), dict(theta0=np.inf)):
+        with pytest.raises(ValueError):
+            RingParams(**bad)
+    for b in (1.0, -1.0):
+        P = ring_points(np.linspace(0, 2 * np.pi, 64), RingParams(b=b))
+        assert np.abs(np.einsum("ij,ij->i", P, P) - 1.0).max() < 1e-12
+
+
 def test_bloch_roundtrip():
     rng = np.random.default_rng(25)
     p = rng.standard_normal(3)

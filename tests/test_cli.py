@@ -15,14 +15,19 @@ CLI = [sys.executable, "-m", "posmap"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(posmap.__file__)))
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_env(env_extra=None):
+    """Environment of a subprocess that imports posmap from SRC."""
     env = dict(os.environ)
     env.pop("POSMAP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=run_env(env_extra), cwd=cwd)
 
 
 def test_builtin_stdout_parses():
@@ -131,13 +136,16 @@ def test_section_tangent_requires_3x3():
 
 def test_rings_csv(tmp_path):
     out = tmp_path / "rings.csv"
-    proc = run_cli("rings", "--samples", "100", "--output", str(out))
-    assert proc.returncode == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "theta,branch,x,y,z"
-    assert len(lines) == 1 + 200
-    x, y, z = (float(v) for v in lines[1].split(",")[2:])
-    assert abs(x * x + y * y + z * z - 1.0) < 1e-12
+    # |b| = 1 is the edge of the valid range: the ring still lies on the sphere
+    for flags in ((), ("--b", "1")):
+        proc = run_cli("rings", "--samples", "100", "--output", str(out), *flags)
+        assert proc.returncode == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "theta,branch,x,y,z"
+        assert len(lines) == 1 + 200
+        xyz = np.array([[float(v) for v in line.split(",")[2:]]
+                        for line in lines[1:]])
+        assert np.abs((xyz ** 2).sum(axis=1) - 1.0).max() < 1e-12, flags
 
 
 def test_exit_2_on_bad_input(tmp_path):
@@ -164,6 +172,9 @@ def test_exit_2_on_bad_flags():
                  ("section", "--builtin", "choi-lam", "--type", "A",
                   "--samples", "-3", "--output", "unused.csv"),
                  ("rings", "--samples", "-1"),
+                 ("rings", "--samples", "3", "--a", "nan"),
+                 ("rings", "--samples", "3", "--theta0", "inf"),
+                 ("rings", "--samples", "3", "--b", "2"),
                  ("normalize", "--builtin", "choi-lam", "--max-iter", "0"),
                  ("builtin", "identity", "--dim", "1"),
                  ("inspect", "--builtin", "identity", "--dim", "0"),

@@ -3,9 +3,11 @@ import pytest
 
 from posmap.bipartite import apply_map
 from posmap.builtin import choi_lam_tangent_section, choi_lam_witness
+from posmap.cli import SECTION_TYPES, _section_plane
 from posmap.hermitian import hs_inner, hs_norm
-from posmap.sections import (SectionPlane, plane_from_states, project_point,
-                             scan_boundary, section_of_type, _scan_rays)
+from posmap.sections import (BOUNDARY_TOL, SectionPlane, plane_from_states,
+                             project_point, scan_boundary, section_of_type,
+                             _scan_rays)
 
 
 def _diag_plane(W=None, norm_frame="source"):
@@ -91,12 +93,29 @@ def test_scan_source_triangle():
 
 
 def test_scan_boundary_tightness():
-    """Stepping 0.1% beyond the reported radius leaves the PSD cone."""
-    plane = _diag_plane()
-    curve = scan_boundary(plane, n_theta=36)
-    for t, r in zip(curve.theta, curve.r):
-        X = plane.point(1.001 * r * np.cos(t), 1.001 * r * np.sin(t))
-        assert np.linalg.eigvalsh(X)[0] < 0
+    """On every CLI plane of choi-lam, source and image side, the reported
+    point sits on the PSD boundary to 1e-12, and stepping 0.1% beyond the
+    reported radius leaves the cone.
+
+    Eigenvalues are taken on the origin's face: the singular origin of
+    type E keeps its kernel eigenvalue 0 along the whole plane.
+    """
+    W = choi_lam_witness()
+    for kind in SECTION_TYPES:
+        plane = _section_plane(W, kind, 42)
+        for transform, (origin, B, C) in (
+                ("none", (plane.rho0, plane.B, plane.C)),
+                ("image_plane", plane.frame())):
+            curve = scan_boundary(plane, transform=transform, n_theta=36)
+            d, V = np.linalg.eigh(origin)
+            F = V[:, d > BOUNDARY_TOL * d[-1]]
+            U = (np.cos(curve.theta)[:, None, None] * B
+                 + np.sin(curve.theta)[:, None, None] * C)
+            for step, check in ((1.0, lambda low: np.abs(low) < 1e-12),
+                                (1.001, lambda low: low < 0)):
+                X = origin + step * curve.r[:, None, None] * U
+                low = np.linalg.eigvalsh(F.conj().T @ X @ F)[:, 0]
+                assert np.all(check(low)), (kind, transform, step, low)
 
 
 def test_scan_labels_and_carryover():
@@ -198,6 +217,24 @@ def test_scan_rays_unbounded_error():
     theta = np.array([0.0])
     with pytest.raises(ValueError):
         _scan_rays(np.eye(2), np.eye(2), np.zeros((2, 2)), theta)
+
+
+def test_scan_rejects_indefinite_origin():
+    e = np.eye(3)
+    plane = plane_from_states(np.diag([1.2, -0.1, -0.1]), np.outer(e[0], e[0]),
+                              np.outer(e[1], e[1]))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        scan_boundary(plane)
+
+
+def test_scan_rejects_axes_off_the_origin_face():
+    """A pure origin e0 e0^dag with an axis towards I/3: every ray leaves
+    the cone at once, so there is no boundary curve to report."""
+    e = np.eye(3)
+    plane = plane_from_states(np.outer(e[0], e[0]), np.eye(3) / 3,
+                              np.outer(e[1], e[1]))
+    with pytest.raises(ValueError, match="face"):
+        scan_boundary(plane)
 
 
 def test_scan_deterministic():
