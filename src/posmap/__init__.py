@@ -14,7 +14,6 @@ map.
 
 from .hermitian import (
     as_hermitian,
-    basis_coords,
     eig_hermitian,
     hermitian_basis,
     hs_inner,
@@ -33,7 +32,6 @@ from .bipartite import (
     partial_trace_2,
     partial_transpose,
     product_transform,
-    product_vector,
     tensor,
     witness_from_map,
     witness_from_map_matrix,
@@ -77,11 +75,11 @@ from .sections import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "as_hermitian", "basis_coords", "eig_hermitian", "hermitian_basis",
-    "hs_inner", "hs_norm", "inv_pd", "sqrt_psd",
+    "as_hermitian", "eig_hermitian", "hermitian_basis", "hs_inner",
+    "hs_norm", "inv_pd", "sqrt_psd",
     "Witness", "apply_map", "apply_transposed_map", "biquadratic_form",
     "diagnostics", "map_matrix", "partial_trace_1", "partial_trace_2",
-    "partial_transpose", "product_transform", "product_vector", "tensor",
+    "partial_transpose", "product_transform", "tensor",
     "witness_from_map", "witness_from_map_matrix",
     "RingParams", "bloch_to_state", "choi_lam_continuum_zero",
     "choi_lam_map", "choi_lam_tangent_section", "choi_lam_witness",

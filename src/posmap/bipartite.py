@@ -36,7 +36,6 @@ __all__ = [
     "Witness",
     "MapMatrix",
     "tensor",
-    "product_vector",
     "partial_transpose",
     "partial_trace_1",
     "partial_trace_2",
@@ -108,11 +107,6 @@ class MapMatrix:
 def tensor(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Kronecker product ordered so that (B (x) C)_{ij;kl} = B_ik C_jl."""
     return np.kron(B, C)
-
-
-def product_vector(phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Composite vector with entries (phi (x) chi)_{ij} = phi_i chi_j."""
-    return np.kron(np.asarray(phi), np.asarray(chi))
 
 
 def partial_transpose(W: Witness) -> Witness:

@@ -164,8 +164,3 @@ def hermitian_basis(k: int) -> np.ndarray:
             basis[idx] = E
             idx += 1
     return basis
-
-
-def basis_coords(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    return np.einsum("aij,ji->a", basis, X).real

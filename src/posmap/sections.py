@@ -228,7 +228,8 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
        Choi-Lam continuum zero phi = (1,1,1)/sqrt(3), xi = i e2/sqrt(3).
 
     :param kind: one of "A".."F".
-    :param k: matrix dimension (types D-F with default vectors need k=3).
+    :param k: matrix dimension (types D-F with default vectors need k=3;
+        the vectors passed for type F have length k).
     :param vectors: type-specific vector inputs, see above.
     :param seed: RNG seed for the random types A-C.
     :param norm_frame: passed to plane_from_states.
@@ -270,17 +271,21 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
         rho1, rho2 = pures[0], pures[1]
     elif kind == "F":
         if vectors is None:
+            if k != 3:
+                raise ValueError(f"type F default vectors need k = 3, got {k}")
             phi1 = np.ones(3, dtype=complex) / np.sqrt(3.0)
             xi = np.array([0.0, 1j, 0.0]) / np.sqrt(3.0)
         else:
             phi1, xi = (np.asarray(v, dtype=complex) for v in vectors)
+            if phi1.shape != (k,) or xi.shape != (k,):
+                raise ValueError(f"type F vectors must have length k = {k}")
         # Only the real part of the overlap matters: an imaginary-parallel
         # component of xi is a phase rotation of phi1 and cancels in D.
         if abs(np.vdot(phi1, xi).real) > 1e-10 * np.linalg.norm(phi1) * np.linalg.norm(xi):
             raise ValueError("type F needs xi orthogonal to phi1 "
                              "(real part of the overlap)")
         phi1 = phi1 / np.linalg.norm(phi1)
-        rho0 = np.eye(phi1.shape[0], dtype=complex) / phi1.shape[0]
+        rho0 = eye / k
         rho1 = np.outer(phi1, phi1.conj())
         rho2 = rho1 + np.outer(phi1, xi.conj()) + np.outer(xi, phi1.conj())
     else:

@@ -16,24 +16,23 @@ slower than quadratically. Zeros belonging to a continuum are
 necessarily quartic. Since f_A is a biquadratic form, the Hessian is
 computed exactly in closed form, with no finite-difference step.
 
+A search merges its candidates and chains the distinct zeros into
+clusters from one pass over their pairwise overlaps; members of large
+clusters are reported as continuum candidates.
+
 Each zero imposes 2(m + n) - 3 real-linear constraints on the witness:
 the value f_A = 0 and the vanishing of the first derivatives along the
-tangent directions of phi and chi (real and imaginary parts). For an
-extremal witness with enough zeros these constraint rows determine the
-witness up to scale.
+tangent directions of phi and chi (real and imaginary parts), read off
+the same first-order variations of phi (x) chi that the Hessian uses and
+built for a whole stack of zeros at once. For an extremal witness with
+enough zeros these constraint rows determine the witness up to scale.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bipartite import (
-    Witness,
-    apply_map,
-    apply_transposed_map,
-    biquadratic_form,
-    product_vector,
-)
+from .bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
 from .hermitian import hermitian_basis, hs_norm
 
 __all__ = [
@@ -306,13 +305,17 @@ def refine_zero(W: Witness,
     return Phi[0], Chi[0], float(values[0])
 
 
-def _tangent_directions(Phi: np.ndarray,
-                        Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real tangent directions (d_phi, d_chi) of the product manifold.
+def _variations(Phi: np.ndarray, Chi: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent directions of the product manifold and the variations of psi.
 
     For each frame vector u of phi the pairs (u, 0) and (i u, 0), then
-    for each frame vector v of chi the pairs (0, v) and (0, i v).
-    :return: stacks of shape (Z, dim, m) and (Z, dim, n).
+    for each frame vector v of chi the pairs (0, v) and (0, i v); the
+    direction (u_p, v_p) varies psi = phi (x) chi by
+    a_p = u_p (x) chi + phi (x) v_p.
+
+    :return: (D_phi, D_chi, a), stacks of shape (Z, dim, m), (Z, dim, n)
+        and (Z, dim, m n).
     """
     U = _tangent_frame(Phi).swapaxes(-1, -2)
     V = _tangent_frame(Chi).swapaxes(-1, -2)
@@ -326,25 +329,23 @@ def _tangent_directions(Phi: np.ndarray,
     D_phi[:, 1:k:2] = 1j * U
     D_chi[:, k::2] = V
     D_chi[:, k + 1::2] = 1j * V
-    return D_phi, D_chi
+    a = (D_phi[..., :, None] * Chi[:, None, None, :]
+         + Phi[:, None, :, None] * D_chi[..., None, :]).reshape(count, dim, m * n)
+    return D_phi, D_chi, a
 
 
 def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     """Exact tangent Hessians of f_A, one per zero.
 
-    With psi = phi (x) chi, the directions (u_p, v_p) of
-    :func:`_tangent_directions` and a_p = u_p (x) chi + phi (x) v_p,
+    With psi = phi (x) chi and the directions (u_p, v_p) and variations
+    a_p of :func:`_variations`,
 
         H_pq = 2 Re a_p^dag A a_q + 2 Re psi^dag A (u_p (x) v_q + u_q (x) v_p).
 
     The products are einsum contractions: a stacked matmul rounds a row
     differently depending on the size of its stack.
     """
-    D_phi, D_chi = _tangent_directions(Phi, Chi)
-    count, dim, m = D_phi.shape
-    n = D_chi.shape[2]
-    a = (D_phi[..., :, None] * Chi[:, None, None, :]
-         + Phi[:, None, :, None] * D_chi[..., None, :]).reshape(count, dim, m * n)
+    D_phi, D_chi, a = _variations(Phi, Chi)
     gram = np.einsum("zpi,ij,zqj->zpq", a.conj(), W.matrix, a)
     cross = np.einsum("zi,zj,ijkl->zkl", Phi.conj(), Chi.conj(), W.blocks)
     S = gram + 2.0 * np.einsum("zkl,zpk,zql->zpq", cross, D_phi, D_chi)
@@ -352,23 +353,12 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     return (S + S.swapaxes(-1, -2)).real
 
 
-def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray,
-              zero_tol: float) -> tuple[list, np.ndarray]:
+def _classify(W: Witness, Phi: np.ndarray,
+              Chi: np.ndarray) -> tuple[list, np.ndarray]:
     """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
 
     :return: (kinds, spectra) with one ascending spectrum row per zero.
-    :raises ValueError: for the first row whose |f_A| exceeds
-        ``zero_tol * max(1, ||A||)``.
     """
-    Phi = np.asarray(Phi, dtype=complex)
-    Chi = np.asarray(Chi, dtype=complex)
-    values = biquadratic_form(W, Phi, Chi)
-    bad = np.flatnonzero(np.abs(values) > zero_tol * max(1.0, hs_norm(W.matrix)))
-    if bad.size:
-        raise ValueError(
-            f"not a zero: |f| = {abs(values[bad[0]]):.3e} exceeds {zero_tol:.1e} "
-            "(relative)"
-        )
     dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
     spectra = np.empty((Phi.shape[0], dim))
     for b in range(0, Phi.shape[0], CLASSIFY_CHUNK):
@@ -398,57 +388,67 @@ def classify_zero(W: Witness, phi: np.ndarray,
     :raises ValueError: if |f_A(phi, chi)| exceeds :data:`ZERO_TOL`
         (relative).
     """
-    kinds, spectra = _classify(W, np.asarray(phi, dtype=complex)[None],
-                               np.asarray(chi, dtype=complex)[None], ZERO_TOL)
+    Phi = np.asarray(phi, dtype=complex)[None]
+    Chi = np.asarray(chi, dtype=complex)[None]
+    value = abs(biquadratic_form(W, Phi, Chi)[0])
+    if value > ZERO_TOL * max(1.0, hs_norm(W.matrix)):
+        raise ValueError(
+            f"not a zero: |f| = {value:.3e} exceeds {ZERO_TOL:.1e} (relative)"
+        )
+    kinds, spectra = _classify(W, Phi, Chi)
     return kinds[0], spectra[0]
 
 
-def _dedup(Phi: np.ndarray, Chi: np.ndarray, dedup_tol: float) -> np.ndarray:
-    """Indices of the rows kept as representatives, in row order.
+def _merge(Phi: np.ndarray, Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the distinct zeros among candidate rows, and
+    the size of each representative's cluster.
 
-    A row is a duplicate when its overlap |<phi_r, phi>| |<chi_r, chi>|
-    with an earlier representative r exceeds 1 - dedup_tol.
-    """
-    keep = []
-    for i in range(Phi.shape[0]):
-        if keep:
-            overlap = (np.abs(np.einsum("ri,i->r", Phi[keep].conj(), Phi[i]))
-                       * np.abs(np.einsum("ri,i->r", Chi[keep].conj(), Chi[i])))
-            if np.any(overlap > 1.0 - dedup_tol):
-                continue
-        keep.append(i)
-    return np.array(keep, dtype=int)
+    One pass builds the overlaps |<phi_i, phi_j>| |<chi_i, chi_j>| of
+    rows i < j, :data:`OVERLAP_BLOCK` rows at a time. Above
+    1 - :data:`DEDUP_TOL` two rows are the same zero, and a row is a
+    representative unless an earlier representative is the same zero.
+    Above :data:`CHAIN_OVERLAP` two representatives are linked, and a
+    cluster is a connected component of the links.
 
-
-def _cluster_sizes(Phi: np.ndarray, Chi: np.ndarray,
-                   chain_overlap: float) -> np.ndarray:
-    """Size of the overlap-chained cluster that contains each row.
-
-    Rows i < j are linked when |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
-    ``chain_overlap``; the overlaps are built :data:`OVERLAP_BLOCK` rows
-    at a time, and clusters are the connected components of the links.
+    :return: (reps, sizes): representative rows, ascending, and the
+        size of the cluster that contains each.
     """
     count = Phi.shape[0]
+    same = np.zeros((count, count), dtype=bool)
     linked = np.zeros((count, count), dtype=bool)
     # einsum, not a BLAS matrix product: the BLAS routine adds to the
     # peak memory of a search.
     for b in range(0, count, OVERLAP_BLOCK):
         rows = slice(b, b + OVERLAP_BLOCK)
-        overlap = (np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi))
-                   * np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi)))
-        linked[rows] = overlap > chain_overlap
-    linked = np.triu(linked, 1)
-    linked |= linked.T
-    label = np.full(count, -1)
-    for i in range(count):
-        if label[i] >= 0:
-            continue
-        reached = frontier = np.arange(count) == i
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~reached
-            reached = reached | frontier
-        label[reached] = i
-    return np.bincount(label, minlength=count)[label]
+        # Only pairs i < j: the block against the rows from b on, right
+        # of its diagonal.
+        overlap = np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi[b:]))
+        overlap *= np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi[b:]))
+        same[rows, b:] = np.triu(overlap > 1.0 - DEDUP_TOL, 1)
+        linked[rows, b:] = np.triu(overlap > CHAIN_OVERLAP, 1)
+    # Whether a row is kept follows from the rows before it, so each
+    # round of the rule settles at least one more row.
+    keep = np.ones(count, dtype=bool)
+    for _ in range(count):
+        settled = ~same[keep].any(axis=0)
+        if np.array_equal(settled, keep):
+            break
+        keep = settled
+    reps = np.flatnonzero(keep)
+    links = linked[np.ix_(reps, reps)]
+    links |= links.T
+    np.fill_diagonal(links, True)
+    # Each round gives every representative the smallest label among
+    # itself and its links (the first linked column in label order),
+    # until every component carries the smallest index of its members.
+    label = np.arange(reps.size)
+    for _ in range(reps.size):
+        by_label = np.argsort(label, kind="stable")
+        lowest = label[by_label[links[:, by_label].argmax(axis=1)]]
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    return reps, np.bincount(label)[label]
 
 
 def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
@@ -460,12 +460,14 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     polishes each result by the pattern search of :func:`refine_zero`,
     keeps results with value at most ``tol * max(1, ||A||)``, merges
     candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
-    1 - :data:`DEDUP_TOL` (keeping the lowest value), classifies each
-    survivor, and finally chains survivors with pairwise overlap above
-    :data:`CHAIN_OVERLAP`: connected components with more than
-    :data:`CLUSTER_K` members have their zeros flagged as continuum
-    candidates. Every phase runs once over the stack of all starts, and
-    each start ends where it ends when searched alone.
+    1 - :data:`DEDUP_TOL` (keeping the lowest value), chains survivors
+    with pairwise overlap above :data:`CHAIN_OVERLAP` (connected
+    components with more than :data:`CLUSTER_K` members have their zeros
+    flagged as continuum candidates; the flag thus depends on how many
+    starts land on a continuum), and classifies each survivor. Every
+    phase runs once over the stack of all starts, each start ends where
+    it ends when searched alone, and one overlap pass serves both the
+    merge and the chaining.
 
     :param W: witness.
     :param starts: number of random starting vectors (0 finds nothing).
@@ -494,13 +496,11 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     accepted = np.flatnonzero(values <= tol * scale)
     if not accepted.size:
         return []
-    # Deduplicate: keep the best representative of each overlap class.
+    # The lowest value of each overlap class represents it.
     order = accepted[np.argsort(values[accepted], kind="stable")]
-    reps = order[_dedup(Phi[order], Chi[order], DEDUP_TOL)]
-    Phi, Chi, values = Phi[reps], Chi[reps], values[reps]
-    # Chain distinct zeros into clusters to flag continua.
-    sizes = _cluster_sizes(Phi, Chi, CHAIN_OVERLAP)
-    kinds, spectra = _classify(W, Phi, Chi, tol)
+    reps, sizes = _merge(Phi[order], Chi[order])
+    Phi, Chi, values = Phi[order[reps]], Chi[order[reps]], values[order[reps]]
+    kinds, spectra = _classify(W, Phi, Chi)
     return [
         ProductZero(phi=Phi[i], chi=Chi[i], value=float(values[i]),
                     kind=kinds[i], hessian_spectrum=spectra[i],
@@ -510,55 +510,45 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
 
 
 def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Real constraint rows a single zero imposes on the witness.
+    """Real constraint rows that zeros impose on the witness.
 
-    The 2(m + n) - 3 rows are, in traceless orthonormal witness
-    coordinates: the value row <psi psi^dag, .> with psi = phi (x) chi,
-    and for every tangent direction u of phi (resp. v of chi) the real
-    and imaginary parts of (phi (x) chi)^dag A (u (x) chi) (resp.
-    (phi (x) chi)^dag A (phi (x) v)).
+    Broadcasts over leading stack axes of ``phi`` and ``chi``, as
+    :func:`apply_map` does. With psi = phi (x) chi and the variations
+    a_p of the tangent directions of the Hessian, the 2(m + n) - 3 rows
+    of a zero are, in the traceless orthonormal witness coordinates E:
+    the value row psi^dag E psi = <psi psi^dag, E> and, for each tangent
+    direction p, the derivative row Re psi^dag E a_p (for a direction
+    i u this is -Im psi^dag E (u (x) chi)).
 
-    :return: array of shape (2(m+n)-3, (mn)^2 - 1).
+    :return: array of shape (..., 2(m+n)-3, (mn)^2 - 1).
     """
     phi = np.asarray(phi, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    m, n = W.m, W.n
-    N = m * n
-    psi = product_vector(phi, chi)
-    functionals = [np.outer(psi, psi.conj())]
-    partners = [product_vector(u, chi) for u in _tangent_frame(phi).T]
-    partners += [product_vector(phi, v) for v in _tangent_frame(chi).T]
-    for eta in partners:
-        outer = np.outer(eta, psi.conj())
-        functionals.append((outer + outer.conj().T) / 2.0)          # real part
-        functionals.append((outer - outer.conj().T) / 2j)           # imaginary part
-    basis = hermitian_basis(N)[1:]
-    rows = np.array([
-        np.einsum("aij,ji->a", basis, F).real for F in functionals
-    ])
-    return rows
+    stack = phi.shape[:-1]
+    Phi = phi.reshape(-1, W.m)
+    Chi = np.asarray(chi, dtype=complex).reshape(-1, W.n)
+    psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(-1, W.m * W.n)
+    partners = np.concatenate([psi[:, None], _variations(Phi, Chi)[2]], axis=1)
+    basis = hermitian_basis(W.m * W.n)[1:]
+    coeffs = np.einsum("zi,aij->zaj", psi.conj(), basis)
+    rows = np.einsum("zaj,zpj->zpa", coeffs, partners).real
+    return rows.reshape(stack + rows.shape[1:])
 
 
 def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     """Stack the constraint rows of several zeros and report the rank.
 
     Singular values above :data:`RANK_TOL` times the largest count toward
-    the rank.
+    the rank; no zeros give no rows and rank 0.
 
     :param W: witness.
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
     :return: :class:`ConstraintSystem`.
     """
-    blocks = []
-    count = 0
-    for z in zeros:
-        if isinstance(z, ProductZero):
-            phi, chi = z.phi, z.chi
-        else:
-            phi, chi = z
-        blocks.append(constraint_rows(W, phi, chi))
-        count += 1
-    rows = np.vstack(blocks)
+    pairs = [(z.phi, z.chi) if isinstance(z, ProductZero) else z for z in zeros]
+    Phi = np.array([phi for phi, _ in pairs], dtype=complex).reshape(-1, W.m)
+    Chi = np.array([chi for _, chi in pairs], dtype=complex).reshape(-1, W.n)
+    rows = constraint_rows(W, Phi, Chi)
+    rows = rows.reshape(-1, rows.shape[-1])
     sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    return ConstraintSystem(rows=rows, rank=rank, zero_count=count)
+    rank = int(np.sum(sv > RANK_TOL * sv.max(initial=0.0)))
+    return ConstraintSystem(rows=rows, rank=rank, zero_count=len(pairs))

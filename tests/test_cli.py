@@ -134,6 +134,15 @@ def test_section_tangent_requires_3x3():
     assert not os.path.exists("/tmp/never-written.csv")
 
 
+def test_section_f_default_requires_dim_3(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = run_cli("section", "--builtin", "identity", "--dim", "2", "--type", "F",
+                   "--output", str(out))
+    assert proc.returncode == 4
+    assert "type F default vectors need k = 3" in proc.stderr
+    assert not out.exists()
+
+
 def test_rings_csv(tmp_path):
     out = tmp_path / "rings.csv"
     # |b| = 1 is the edge of the valid range: the ring still lies on the sphere

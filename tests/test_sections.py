@@ -207,6 +207,19 @@ def test_section_type_f_orthogonality():
     assert abs(np.trace(plane.rho0).real - 1.0) < 1e-12
 
 
+def test_section_type_f_needs_vectors_of_length_k():
+    """Type F builds its origin from k, so the vectors must live in C^k."""
+    with pytest.raises(ValueError, match="k = 3"):
+        section_of_type("F", k=2)
+    phi1 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
+    xi = 1j * np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="length k = 4"):
+        section_of_type("F", k=4, vectors=(phi1, xi))
+    e = np.eye(2)
+    plane = section_of_type("F", k=2, vectors=(e[0], 1j * e[1]))
+    assert np.abs(plane.rho0 - np.eye(2) / 2).max() < 1e-15
+
+
 def test_unknown_section_type():
     with pytest.raises(ValueError):
         section_of_type("Q")

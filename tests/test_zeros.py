@@ -4,7 +4,7 @@ import pytest
 from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
 from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
                             horodecki_2x4_witness)
-from posmap.hermitian import hs_norm
+from posmap.hermitian import hermitian_basis, hs_norm
 import posmap.zeros as zeros_mod
 from posmap.zeros import (NotBlockPositiveError, alternating_minimize,
                           classify_zero, constraint_rank, constraint_rows,
@@ -163,14 +163,55 @@ def test_constraint_rows_against_own_witness():
     -tr(W)/(mn) from the projected-out trace component; the gradient
     rows annihilate the witness exactly.
     """
-    from posmap.hermitian import basis_coords, hermitian_basis
     W = choi_lam_witness()
     e = np.eye(3)
     R = constraint_rows(W, e[1], e[0])
-    coords = basis_coords(W.matrix, hermitian_basis(9))[1:]  # traceless part
+    # traceless part of the coordinates
+    coords = np.einsum("aij,ji->a", hermitian_basis(9), W.matrix).real[1:]
     out = R @ coords
     assert abs(out[0] - (-np.trace(W.matrix).real / 9)) < 1e-12
     assert np.abs(out[1:]).max() < 1e-12
+
+
+def _reference_rows(phi, chi):
+    """One zero's rows from one N x N functional per row. The imaginary
+    parts are negated: the derivative of psi^dag E a along i u is -Im."""
+    psi = np.kron(phi, chi)
+    functionals = [np.outer(psi, psi.conj())]
+    partners = [np.kron(u, chi) for u in zeros_mod._tangent_frame(phi).T]
+    partners += [np.kron(phi, v) for v in zeros_mod._tangent_frame(chi).T]
+    for eta in partners:
+        outer = np.outer(eta, psi.conj())
+        functionals.append((outer + outer.conj().T) / 2.0)
+        functionals.append(-(outer - outer.conj().T) / 2j)
+    basis = hermitian_basis(len(psi))[1:]
+    return np.array([np.einsum("aij,ji->a", basis, F).real for F in functionals])
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2)])
+@pytest.mark.parametrize("count", [1, 5])
+def test_constraint_rows_match_reference(m, n, count):
+    """The stacked rows equal the per-functional construction, and a
+    stacked row equals the row of its zero alone."""
+    W = Witness(m, n, np.eye(m * n))
+    rng = np.random.default_rng(10 * m + count)
+    Phi = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+    Chi = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    Phi /= np.linalg.norm(Phi, axis=1, keepdims=True)
+    Chi /= np.linalg.norm(Chi, axis=1, keepdims=True)
+    R = constraint_rows(W, Phi, Chi)
+    assert R.shape == (count, 2 * (m + n) - 3, (m * n) ** 2 - 1)
+    for i in range(count):
+        assert np.array_equal(R[i], constraint_rows(W, Phi[i], Chi[i]))
+        assert np.abs(R[i] - _reference_rows(Phi[i], Chi[i])).max() <= 1e-14
+
+
+def test_constraint_rank_without_zeros():
+    W = choi_lam_witness()
+    for zeros in ([], find_zeros(Witness(3, 3, np.eye(9)), starts=3)):
+        system = constraint_rank(W, zeros)
+        assert system.rows.shape == (0, 80)
+        assert system.rank == 0 and system.zero_count == 0
 
 
 @pytest.mark.parametrize("witness, starts, seed, rank", [
@@ -324,7 +365,7 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
     monkeypatch.setattr(zeros_mod, "CLASSIFY_CHUNK", 3)   # several chunks
-    kinds, spectra = zeros_mod._classify(W, Phi, Chi, 1e-9)
+    kinds, spectra = zeros_mod._classify(W, Phi, Chi)
     for i in range(len(Phi)):
         kind, spectrum = classify_zero(W, Phi[i], Chi[i])
         assert kinds[i] == kind
@@ -356,12 +397,23 @@ def test_cluster_sizes_match_pairwise_union_find(monkeypatch):
     expected = [roots.count(r) for r in roots]
     assert 1 < max(expected) < count
     monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
-    assert list(zeros_mod._cluster_sizes(Phi, Chi, 0.5)) == expected
+    # the representatives are those of a sequential first-come dedup
+    keep = []
+    for i in range(count):
+        if all(abs(np.vdot(Phi[r], Phi[i])) * abs(np.vdot(Chi[r], Chi[i]))
+               <= 1.0 - zeros_mod.DEDUP_TOL for r in keep):
+            keep.append(i)
+    assert len(keep) < count
+    assert list(zeros_mod._merge(Phi, Chi)[0]) == keep
+    monkeypatch.setattr(zeros_mod, "DEDUP_TOL", -1.0)     # every row is kept
+    reps, sizes = zeros_mod._merge(Phi, Chi)
+    assert list(reps) == list(range(count))
+    assert list(sizes) == expected
     # a chain links its ends through the middle row only
     e = np.eye(3, dtype=complex)
     Phi = np.array([e[0], (e[0] + e[1]) / np.sqrt(2.0), e[1], e[2]])
     Chi = np.array([e[0]] * 4)
-    assert list(zeros_mod._cluster_sizes(Phi, Chi, 0.5)) == [3, 3, 3, 1]
+    assert list(zeros_mod._merge(Phi, Chi)[1]) == [3, 3, 3, 1]
 
 
 def test_dedup_keeps_first_of_each_overlap_class():
@@ -370,7 +422,27 @@ def test_dedup_keeps_first_of_each_overlap_class():
     Phi = np.array([e[0], e[1], 1j * e[0], tilt, e[1]])
     Chi = np.array([e[2], e[0], e[2], e[2], e[1]])
     # row 2 is row 0 up to phase; row 3 sits 1e-8 away; row 4 differs in chi
-    assert list(zeros_mod._dedup(Phi, Chi, 1e-6)) == [0, 1, 4]
+    assert list(zeros_mod._merge(Phi, Chi)[0]) == [0, 1, 4]
+    # only a representative absorbs: row 2 is the same zero as row 1,
+    # which row 0 absorbed, but not as row 0, so row 2 is kept
+    t = 1.2e-3
+    Phi = np.array([[np.cos(k * t), np.sin(k * t), 0.0] for k in range(3)], dtype=complex)
+    assert list(zeros_mod._merge(Phi, np.array([e[0]] * 3))[0]) == [0, 2]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_choi_lam_zero_set_passes_criterion_7_at_any_seed(seed):
+    """The check of the zeros-choi-lam benchmark: each printed zero is hit
+    by exactly one non-continuum zero, at least 10 zeros are continuum,
+    and every zero is quartic."""
+    zeros = find_zeros(choi_lam_witness(), 500, seed)
+    e = np.eye(3)
+    for i, j in PRINTED_ZEROS:
+        hits = [z for z in zeros if not z.continuum
+                and _overlap(z.phi, e[i]) > 1 - 1e-6 and _overlap(z.chi, e[j]) > 1 - 1e-6]
+        assert len(hits) == 1
+    assert sum(z.continuum for z in zeros) >= 10
+    assert all(z.kind == "quartic" for z in zeros)
 
 
 def test_find_zeros_single_start():
