@@ -229,7 +229,7 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
 
     :param kind: one of "A".."F".
     :param k: matrix dimension (types D-F with default vectors need k=3;
-        the vectors passed for type F have length k).
+        the vectors passed for types D-F have length k).
     :param vectors: type-specific vector inputs, see above.
     :param seed: RNG seed for the random types A-C.
     :param norm_frame: passed to plane_from_states.
@@ -260,7 +260,10 @@ def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
                 vectors = (eye[:, 0], eye[:, 1], v3)
         if vectors is None or len(vectors) != 3:
             raise ValueError(f"type {kind} needs three vectors")
-        V = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
+        vectors = [np.asarray(v, dtype=complex) for v in vectors]
+        if any(v.shape != (k,) for v in vectors):
+            raise ValueError(f"type {kind} vectors must have length k = {k}")
+        V = np.column_stack(vectors)
         rank = np.linalg.matrix_rank(V, tol=1e-12)
         if kind == "D" and rank != 3:
             raise ValueError("type D vectors must be linearly independent")

@@ -16,9 +16,20 @@ slower than quadratically. Zeros belonging to a continuum are
 necessarily quartic. Since f_A is a biquadratic form, the Hessian is
 computed exactly in closed form, with no finite-difference step.
 
-A search merges its candidates and chains the distinct zeros into
-clusters from one pass over their pairwise overlaps; members of large
-clusters are reported as continuum candidates.
+A quartic zero lies on a continuum of zeros only if f_A vanishes to
+fourth order along one of its Hessian null directions. Along a null
+direction d = (u, v), with the second-order correction of the curve
+chosen optimally, f_A starts at order eps^4 with the reduced quartic
+
+    q(d) = f_A(u, v) - 1/2 g^T H^+ g,
+
+where H is the tangent Hessian and g the gradient of the eps^4
+coefficient in the second-order correction. Every zero of a continuum
+has q = 0 along the continuum's tangent; a zero with q > 0 along each
+null direction is isolated. The flag is thus a property of each zero
+alone, computed in closed form from the Hessian's eigenvectors and the
+same variations, and does not depend on which other zeros a search
+finds.
 
 Each zero imposes 2(m + n) - 3 real-linear constraints on the witness:
 the value f_A = 0 and the vanishing of the first derivatives along the
@@ -49,10 +60,6 @@ __all__ = [
 
 # Overlap above which two candidates count as the same zero.
 DEDUP_TOL = 1e-6
-# Overlap above which two distinct zeros are chained as continuum neighbors.
-CHAIN_OVERLAP = 0.5
-# Components larger than this flag their members as continuum candidates.
-CLUSTER_K = 5
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,11 @@ class ProductZero:
 
     ``value`` is f_A at the zero, ``kind`` is ``"quadratic"`` or
     ``"quartic"``, ``hessian_spectrum`` the ascending tangent-Hessian
-    eigenvalues, and ``continuum`` marks membership in a chained cluster
-    of zeros (a heuristic report, not a certificate).
+    eigenvalues. ``continuum`` is set when the reduced quartic q of the
+    zero vanishes, to :data:`CONTINUUM_TOL` * ||A||, along a Hessian null
+    direction, as it does at every zero of a continuum; unset, the zero
+    is certified isolated (q > 0 along every null direction, or no null
+    direction at all).
     """
 
     phi: np.ndarray = field(repr=False)
@@ -117,6 +127,9 @@ SWEEP_CAP = 200
 ZERO_TOL = 1e-9
 # Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
 HESS_TOL = 1e-7
+# Largest minimum of the reduced quartic over the unit Hessian null
+# directions, relative to ||A||, of a zero flagged as continuum.
+CONTINUUM_TOL = 1e-6
 # Singular values above this share of the largest count toward a
 # constraint rank.
 RANK_TOL = 1e-10
@@ -334,7 +347,8 @@ def _variations(Phi: np.ndarray, Chi: np.ndarray
     return D_phi, D_chi, a
 
 
-def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
+def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, D_phi: np.ndarray,
+             D_chi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Exact tangent Hessians of f_A, one per zero.
 
     With psi = phi (x) chi and the directions (u_p, v_p) and variations
@@ -345,28 +359,134 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     The products are einsum contractions: a stacked matmul rounds a row
     differently depending on the size of its stack.
     """
-    D_phi, D_chi, a = _variations(Phi, Chi)
     gram = np.einsum("zpi,ij,zqj->zpq", a.conj(), W.matrix, a)
     cross = np.einsum("zi,zj,ijkl->zkl", Phi.conj(), Chi.conj(), W.blocks)
     S = gram + 2.0 * np.einsum("zkl,zpk,zql->zpq", cross, D_phi, D_chi)
-    # Re(S + S^T) is symmetric to the last bit, as eigvalsh assumes.
+    # Re(S + S^T) is symmetric to the last bit, as eigh assumes.
     return (S + S.swapaxes(-1, -2)).real
 
 
-def _classify(W: Witness, Phi: np.ndarray,
-              Chi: np.ndarray) -> tuple[list, np.ndarray]:
-    """Stacked zero classification, :data:`CLASSIFY_CHUNK` zeros at a time.
+def _reduced_quartic(W: Witness, D_phi: np.ndarray, D_chi: np.ndarray,
+                     a: np.ndarray, root: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+    """The reduced quartic q(d) = f_A(u, v) - 1/2 g^T H^+ g at null directions.
 
-    :return: (kinds, spectra) with one ascending spectrum row per zero.
+    Along phi + eps u + eps^2 u2, chi + eps v + eps^2 v2 with
+    d = (u, v) in the null space of H, f_A has no terms below eps^4 and
+    its eps^4 coefficient is f_A(u, v) + g.w + 1/2 w^T H w, w = (u2, v2),
+    with b = u (x) v, a_d = sum_p d_p a_p and
+
+        g_p = 2 Re b^dag A a_p + 2 Re a_d^dag A (u (x) v_p + u_p (x) v).
+
+    Minimized over w this is q(d).
+
+    :param root: R with R R^T = H^+, shape (Z, dim, dim).
+    :param d: real tangent coordinates of the directions, (Z, s, dim).
+    :return: q, shape (Z, s).
     """
+    count, s = d.shape[:2]
+    m, n = D_phi.shape[-1], D_chi.shape[-1]
+    u, v, a_d = d @ D_phi, d @ D_chi, d @ a
+    b = (u[..., :, None] * v[..., None, :]).reshape(count, s, m * n)
+    # A is Hermitian, so b^dag A = (A b)^dag.
+    Ab = b @ W.matrix.T
+    Aa = (a_d @ W.matrix.T).reshape(count, s, m, n).conj()
+    g = 2.0 * (np.einsum("zsi,zpi->zsp", Ab.conj(), a)
+               + np.einsum("zsij,zsi,zpj->zsp", Aa, u, D_chi)
+               + np.einsum("zsij,zpi,zsj->zsp", Aa, D_phi, v)).real
+    return (np.einsum("zsi,zsi->zs", b.conj(), Ab).real
+            - 0.5 * np.square(g @ root).sum(axis=-1))
+
+
+# Five directions on a half turn of the null circle fix a binary quartic.
+_CIRCLE = np.pi * np.arange(5) / 5.0
+
+
+def _monomials(theta: np.ndarray) -> np.ndarray:
+    """The monomials x^(4-k) y^k, k = 0..4, of (x, y) = (cos theta, sin theta)."""
+    k = np.arange(5)
+    return np.cos(theta)[..., None] ** (4 - k) * np.sin(theta)[..., None] ** k
+
+
+def _circle_min(samples: np.ndarray) -> np.ndarray:
+    """Exact minimum of a binary quartic over the unit circle, per row.
+
+    ``samples`` holds Q(x, y) = sum_k c_k x^(4-k) y^k at the angles
+    :data:`_CIRCLE`, one row per quartic. The critical directions of Q
+    on the circle are the real roots of y Q_x - x Q_y: with x = 1, y = t
+    they are the roots t of a quartic in t, found for all rows at once
+    as eigenvalues of stacked companion matrices, and with x = 0 the
+    direction (0, 1). Q is evaluated at the real parts of all roots,
+    which only adds points of the circle. A vanishing leading
+    coefficient, whose root runs off to (0, 1), is raised to the
+    rounding level of the polynomial; where the polynomial vanishes, Q
+    is constant on the circle.
+    """
+    c = np.linalg.solve(_monomials(_CIRCLE), samples.T).T
+    c0, c1, c2, c3, c4 = c.T
+    # y Q_x - x Q_y at (1, t), highest power first.
+    poly = np.stack([c3, 2 * c2 - 4 * c4, 3 * (c1 - c3), 4 * c0 - 2 * c2, -c1], axis=1)
+    floor = np.finfo(float).eps * np.abs(poly).max(axis=1)
+    lead = np.where(np.abs(c3) > floor, c3, np.where(floor > 0, floor, 1.0))
+    companion = np.zeros((len(c), 4, 4))
+    companion[:, 0] = -poly[:, 1:] / lead[:, None]
+    companion[:, 1:, :3] = np.eye(3)
+    roots = np.linalg.eigvals(companion).real
+    theta = np.concatenate([np.arctan(roots), np.full((len(c), 1), np.pi / 2)], axis=1)
+    return np.einsum("zjk,zk->zj", _monomials(theta), c).min(axis=1)
+
+
+def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray
+              ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked zero classification and continuum certificate,
+    :data:`CLASSIFY_CHUNK` zeros at a time.
+
+    One ``eigh`` per chunk gives the Hessian spectra, the k null
+    directions (eigenvalues below :data:`HESS_TOL` * ||A||) and H^+.
+    With k = 1 the certificate is q at the null vector, with k >= 2 the
+    exact minimum of q over the circle spanned by the two lowest
+    eigenvectors; a zero is continuum if it is at most
+    :data:`CONTINUUM_TOL` * ||A||.
+
+    :return: (kinds, spectra, q_min, continuum) with one ascending
+        spectrum row, certificate and flag per zero; q_min is inf at a
+        zero without null directions.
+    :raises ValueError: if a zero has k >= 3 null directions and q
+        stays above the tolerance on that circle: its other null
+        directions are not searched, so it is not certified isolated.
+    """
+    count = Phi.shape[0]
     dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
-    spectra = np.empty((Phi.shape[0], dim))
-    for b in range(0, Phi.shape[0], CLASSIFY_CHUNK):
+    scale = hs_norm(W.matrix)
+    hess_tol = HESS_TOL * scale
+    spectra = np.empty((count, dim))
+    q_min = np.empty(count)
+    # The sample directions in the plane of the two lowest eigenvectors.
+    circle = np.stack([np.cos(_CIRCLE), np.sin(_CIRCLE)], axis=1)
+    for b in range(0, count, CLASSIFY_CHUNK):
         c = slice(b, b + CLASSIFY_CHUNK)
-        spectra[c] = np.linalg.eigvalsh(_hessian(W, Phi[c], Chi[c]))
-    hess_tol = HESS_TOL * hs_norm(W.matrix)
-    kinds = ["quartic" if low < hess_tol else "quadratic" for low in spectra[:, 0]]
-    return kinds, spectra
+        D_phi, D_chi, a = _variations(Phi[c], Chi[c])
+        spectra[c], vectors = np.linalg.eigh(_hessian(W, Phi[c], Chi[c], D_phi, D_chi, a))
+        # R = V diag(lambda^-1/2), zero on the null space: R R^T = H^+.
+        scales = np.where(spectra[c] > hess_tol, spectra[c], np.inf) ** -0.5
+        samples = _reduced_quartic(W, D_phi, D_chi, a, vectors * scales[:, None],
+                                   circle @ vectors[:, :, :2].swapaxes(-1, -2))
+        # _CIRCLE[0] = 0: the first sample is q at the lowest eigenvector.
+        q_min[c] = np.where(spectra[c, 1] < hess_tol, _circle_min(samples), samples[:, 0])
+    nulls = np.count_nonzero(spectra < hess_tol, axis=1)
+    q_min[nulls == 0] = np.inf
+    continuum = q_min <= CONTINUUM_TOL * scale
+    uncertified = np.flatnonzero((nulls >= 3) & ~continuum)
+    if uncertified.size:
+        i = uncertified[0]
+        raise ValueError(
+            f"cannot certify the zero phi = {Phi[i].tolist()}, chi = "
+            f"{Chi[i].tolist()} isolated: it has {nulls[i]} Hessian null "
+            f"directions, and the reduced quartic is {q_min[i]:.3e} > "
+            f"{CONTINUUM_TOL:.1e} * ||A|| on the lowest two"
+        )
+    kinds = np.where(nulls > 0, "quartic", "quadratic").tolist()
+    return kinds, spectra, q_min, continuum
 
 
 def classify_zero(W: Witness, phi: np.ndarray,
@@ -386,7 +506,8 @@ def classify_zero(W: Witness, phi: np.ndarray,
     :param chi: unit vector, n side.
     :return: (kind, ascending Hessian eigenvalues).
     :raises ValueError: if |f_A(phi, chi)| exceeds :data:`ZERO_TOL`
-        (relative).
+        (relative), or if the continuum certificate of :func:`find_zeros`
+        cannot be decided at the zero.
     """
     Phi = np.asarray(phi, dtype=complex)[None]
     Chi = np.asarray(chi, dtype=complex)[None]
@@ -395,27 +516,22 @@ def classify_zero(W: Witness, phi: np.ndarray,
         raise ValueError(
             f"not a zero: |f| = {value:.3e} exceeds {ZERO_TOL:.1e} (relative)"
         )
-    kinds, spectra = _classify(W, Phi, Chi)
+    kinds, spectra, _, _ = _classify(W, Phi, Chi)
     return kinds[0], spectra[0]
 
 
-def _merge(Phi: np.ndarray, Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives of the distinct zeros among candidate rows, and
-    the size of each representative's cluster.
+def _merge(Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
+    """Representatives of the distinct zeros among candidate rows.
 
     One pass builds the overlaps |<phi_i, phi_j>| |<chi_i, chi_j>| of
     rows i < j, :data:`OVERLAP_BLOCK` rows at a time. Above
     1 - :data:`DEDUP_TOL` two rows are the same zero, and a row is a
     representative unless an earlier representative is the same zero.
-    Above :data:`CHAIN_OVERLAP` two representatives are linked, and a
-    cluster is a connected component of the links.
 
-    :return: (reps, sizes): representative rows, ascending, and the
-        size of the cluster that contains each.
+    :return: representative rows, ascending.
     """
     count = Phi.shape[0]
     same = np.zeros((count, count), dtype=bool)
-    linked = np.zeros((count, count), dtype=bool)
     # einsum, not a BLAS matrix product: the BLAS routine adds to the
     # peak memory of a search.
     for b in range(0, count, OVERLAP_BLOCK):
@@ -425,7 +541,6 @@ def _merge(Phi: np.ndarray, Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         overlap = np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi[b:]))
         overlap *= np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi[b:]))
         same[rows, b:] = np.triu(overlap > 1.0 - DEDUP_TOL, 1)
-        linked[rows, b:] = np.triu(overlap > CHAIN_OVERLAP, 1)
     # Whether a row is kept follows from the rows before it, so each
     # round of the rule settles at least one more row.
     keep = np.ones(count, dtype=bool)
@@ -434,21 +549,7 @@ def _merge(Phi: np.ndarray, Chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.array_equal(settled, keep):
             break
         keep = settled
-    reps = np.flatnonzero(keep)
-    links = linked[np.ix_(reps, reps)]
-    links |= links.T
-    np.fill_diagonal(links, True)
-    # Each round gives every representative the smallest label among
-    # itself and its links (the first linked column in label order),
-    # until every component carries the smallest index of its members.
-    label = np.arange(reps.size)
-    for _ in range(reps.size):
-        by_label = np.argsort(label, kind="stable")
-        lowest = label[by_label[links[:, by_label].argmax(axis=1)]]
-        if np.array_equal(lowest, label):
-            break
-        label = lowest
-    return reps, np.bincount(label)[label]
+    return np.flatnonzero(keep)
 
 
 def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
@@ -460,14 +561,11 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     polishes each result by the pattern search of :func:`refine_zero`,
     keeps results with value at most ``tol * max(1, ||A||)``, merges
     candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
-    1 - :data:`DEDUP_TOL` (keeping the lowest value), chains survivors
-    with pairwise overlap above :data:`CHAIN_OVERLAP` (connected
-    components with more than :data:`CLUSTER_K` members have their zeros
-    flagged as continuum candidates; the flag thus depends on how many
-    starts land on a continuum), and classifies each survivor. Every
-    phase runs once over the stack of all starts, each start ends where
-    it ends when searched alone, and one overlap pass serves both the
-    merge and the chaining.
+    1 - :data:`DEDUP_TOL` (keeping the lowest value), and classifies each
+    survivor, certifying its continuum flag from its own reduced quartic
+    (:class:`ProductZero`), so the flag does not depend on the other
+    zeros found. Every phase runs once over the stack of all starts, and
+    each start ends where it ends when searched alone.
 
     :param W: witness.
     :param starts: number of random starting vectors (0 finds nothing).
@@ -477,6 +575,9 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :raises ValueError: if ``starts`` is negative.
     :raises NotBlockPositiveError: if a polished start has a value below
         ``-tol * max(1, ||A||)``; it carries the lowest such start.
+    :raises ValueError: if a zero has three or more Hessian null
+        directions and its reduced quartic does not vanish on the two
+        lowest (see :func:`_classify`).
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
@@ -498,13 +599,13 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
         return []
     # The lowest value of each overlap class represents it.
     order = accepted[np.argsort(values[accepted], kind="stable")]
-    reps, sizes = _merge(Phi[order], Chi[order])
-    Phi, Chi, values = Phi[order[reps]], Chi[order[reps]], values[order[reps]]
-    kinds, spectra = _classify(W, Phi, Chi)
+    reps = order[_merge(Phi[order], Chi[order])]
+    Phi, Chi, values = Phi[reps], Chi[reps], values[reps]
+    kinds, spectra, _, continuum = _classify(W, Phi, Chi)
     return [
         ProductZero(phi=Phi[i], chi=Chi[i], value=float(values[i]),
                     kind=kinds[i], hessian_spectrum=spectra[i],
-                    continuum=bool(sizes[i] > CLUSTER_K))
+                    continuum=bool(continuum[i]))
         for i in range(len(reps))
     ]
 

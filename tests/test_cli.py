@@ -97,6 +97,26 @@ def test_zeros_finds_isolated():
     assert all(z["kind"] == "quartic" for z in zeros)
 
 
+@pytest.mark.parametrize("name", ["identity", "transposition"])
+def test_zeros_continuum_only_builtins(name):
+    """Six Hessian null directions, all on the continuum: every zero is
+    flagged and the search succeeds."""
+    proc = run_cli("zeros", "--builtin", name, "--starts", "5")
+    assert proc.returncode == 0, proc.stderr
+    zeros = json.loads(proc.stdout)
+    assert zeros and all(z["continuum"] for z in zeros)
+
+
+def test_zeros_exit_4_on_uncertified_zero(monkeypatch, capsys):
+    """A zero whose continuum flag cannot be certified fails loudly."""
+    import posmap.zeros as zeros_mod
+    from posmap.cli import main
+    monkeypatch.setattr(zeros_mod, "HESS_TOL", 1.0)   # six null directions
+    code = main(["zeros", "--builtin", "choi-lam", "--starts", "40", "--seed", "7"])
+    assert code == 4
+    assert "cannot certify" in capsys.readouterr().err
+
+
 def test_zeros_seed_env_override():
     with_flag = run_cli("zeros", "--builtin", "choi-lam", "--starts", "15", "--seed", "42")
     with_env = run_cli("zeros", "--builtin", "choi-lam", "--starts", "15", "--seed", "1",

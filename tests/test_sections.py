@@ -220,6 +220,21 @@ def test_section_type_f_needs_vectors_of_length_k():
     assert np.abs(plane.rho0 - np.eye(2) / 2).max() < 1e-15
 
 
+@pytest.mark.parametrize("kind", ["D", "E"])
+def test_section_types_d_e_need_vectors_of_length_k(kind):
+    """Types D and E build their states from the vectors, so a vector
+    outside C^k is an error that names k, as for type F."""
+    e = np.eye(3)
+    triple = (e[0], e[1], e[2]) if kind == "D" else (e[0], e[1], (e[0] + e[1]) / np.sqrt(2))
+    with pytest.raises(ValueError, match="length k = 4"):
+        section_of_type(kind, k=4, vectors=triple)
+    mixed = (np.eye(4)[0],) + triple[1:]
+    with pytest.raises(ValueError, match="length k = 3"):
+        section_of_type(kind, k=3, vectors=mixed)
+    plane = section_of_type(kind, k=4, vectors=[np.append(v, 0.0) for v in triple])
+    assert plane.rho0.shape == (4, 4)
+
+
 def test_unknown_section_type():
     with pytest.raises(ValueError):
         section_of_type("Q")

@@ -3,7 +3,8 @@ import pytest
 
 from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
 from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
-                            horodecki_2x4_witness)
+                            horodecki_2x4_witness, identity_witness,
+                            transposition_witness)
 from posmap.hermitian import hermitian_basis, hs_norm
 import posmap.zeros as zeros_mod
 from posmap.zeros import (NotBlockPositiveError, alternating_minimize,
@@ -365,55 +366,33 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
     monkeypatch.setattr(zeros_mod, "CLASSIFY_CHUNK", 3)   # several chunks
-    kinds, spectra = zeros_mod._classify(W, Phi, Chi)
+    kinds, spectra, _, flags = zeros_mod._classify(W, Phi, Chi)
+    assert flags.any()
     for i in range(len(Phi)):
         kind, spectrum = classify_zero(W, Phi[i], Chi[i])
         assert kinds[i] == kind
         assert np.array_equal(spectra[i], spectrum)
+        assert flags[i] == zeros_mod._classify(W, Phi[i:i + 1], Chi[i:i + 1])[3][0]
         # the finite-difference reference carries its own rounding noise
         reference = _sequential_spectrum(W, Phi[i], Chi[i])
         assert np.abs(spectra[i] - reference).max() <= 1e-6
 
 
-def test_cluster_sizes_match_pairwise_union_find(monkeypatch):
+def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
     # a coarse search: near-zeros, scattered along the continuum
     monkeypatch.setattr(zeros_mod, "REFINE_MIN_H", 1e-6)
     monkeypatch.setattr(zeros_mod, "REFINE_BUDGET", 400)
     Phi, Chi, _ = zeros_mod._refine(W, _starts(W, 40, 53))
-    count = len(Phi)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            if abs(np.vdot(Phi[i], Phi[j])) * abs(np.vdot(Chi[i], Chi[j])) > 0.5:
-                parent[find(i)] = find(j)
-    roots = [find(i) for i in range(count)]
-    expected = [roots.count(r) for r in roots]
-    assert 1 < max(expected) < count
     monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
     # the representatives are those of a sequential first-come dedup
     keep = []
-    for i in range(count):
+    for i in range(len(Phi)):
         if all(abs(np.vdot(Phi[r], Phi[i])) * abs(np.vdot(Chi[r], Chi[i]))
                <= 1.0 - zeros_mod.DEDUP_TOL for r in keep):
             keep.append(i)
-    assert len(keep) < count
-    assert list(zeros_mod._merge(Phi, Chi)[0]) == keep
-    monkeypatch.setattr(zeros_mod, "DEDUP_TOL", -1.0)     # every row is kept
-    reps, sizes = zeros_mod._merge(Phi, Chi)
-    assert list(reps) == list(range(count))
-    assert list(sizes) == expected
-    # a chain links its ends through the middle row only
-    e = np.eye(3, dtype=complex)
-    Phi = np.array([e[0], (e[0] + e[1]) / np.sqrt(2.0), e[1], e[2]])
-    Chi = np.array([e[0]] * 4)
-    assert list(zeros_mod._merge(Phi, Chi)[1]) == [3, 3, 3, 1]
+    assert len(keep) < len(Phi)
+    assert list(zeros_mod._merge(Phi, Chi)) == keep
 
 
 def test_dedup_keeps_first_of_each_overlap_class():
@@ -422,12 +401,12 @@ def test_dedup_keeps_first_of_each_overlap_class():
     Phi = np.array([e[0], e[1], 1j * e[0], tilt, e[1]])
     Chi = np.array([e[2], e[0], e[2], e[2], e[1]])
     # row 2 is row 0 up to phase; row 3 sits 1e-8 away; row 4 differs in chi
-    assert list(zeros_mod._merge(Phi, Chi)[0]) == [0, 1, 4]
+    assert list(zeros_mod._merge(Phi, Chi)) == [0, 1, 4]
     # only a representative absorbs: row 2 is the same zero as row 1,
     # which row 0 absorbed, but not as row 0, so row 2 is kept
     t = 1.2e-3
     Phi = np.array([[np.cos(k * t), np.sin(k * t), 0.0] for k in range(3)], dtype=complex)
-    assert list(zeros_mod._merge(Phi, np.array([e[0]] * 3))[0]) == [0, 2]
+    assert list(zeros_mod._merge(Phi, np.array([e[0]] * 3))) == [0, 2]
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -443,6 +422,103 @@ def test_choi_lam_zero_set_passes_criterion_7_at_any_seed(seed):
         assert len(hits) == 1
     assert sum(z.continuum for z in zeros) >= 10
     assert all(z.kind == "quartic" for z in zeros)
+
+
+def _is_printed(z):
+    e = np.eye(3)
+    return any(_overlap(z.phi, e[i]) > 1 - 1e-6 and _overlap(z.chi, e[j]) > 1 - 1e-6
+               for i, j in PRINTED_ZEROS)
+
+
+@pytest.mark.parametrize("starts, hits", [(5, 0), (10, 1), (20, 2), (30, 3), (50, 3),
+                                          (500, 3)])
+def test_continuum_flag_does_not_depend_on_start_count(starts, hits):
+    """The unflagged zeros are exactly the printed isolated ones, however
+    few starts reach the continuum: each flag is certified from its own
+    zero."""
+    zeros = find_zeros(choi_lam_witness(), starts, 42)
+    printed = [k for k, z in enumerate(zeros) if _is_printed(z)]
+    assert len(printed) == hits
+    assert [k for k, z in enumerate(zeros) if not z.continuum] == printed
+
+
+@pytest.mark.parametrize("witness", [lambda: identity_witness(3),
+                                     lambda: transposition_witness(3),
+                                     horodecki_2x4_witness],
+                         ids=["identity", "transposition", "horodecki-2x4"])
+def test_continuum_only_witnesses_flag_every_zero(witness):
+    """Every zero of these witnesses lies on a continuum. identity(3) and
+    transposition(3) have six Hessian null directions, on all of which
+    the reduced quartic vanishes: they are flagged, not rejected."""
+    W = witness()
+    zeros = find_zeros(W, 5, 42)
+    assert len(zeros) == 5
+    assert all(z.continuum for z in zeros)
+    nulls = {int(np.sum(z.hessian_spectrum < zeros_mod.HESS_TOL * hs_norm(W.matrix)))
+             for z in zeros}
+    assert nulls == ({1} if W.m == 2 else {6})
+
+
+@pytest.mark.parametrize("scale, q", [("map", 1 / 8), ("paper", 1 / 4)])
+def test_reduced_quartic_at_printed_and_continuum_zeros(scale, q):
+    """q_min is 1/8 (map scale) or 1/4 (paper scale) at the isolated
+    zeros and vanishes on the analytic continuum."""
+    W = choi_lam_witness(scale)
+    e = np.eye(3, dtype=complex)
+    Phi = np.array([e[i] for i, _ in PRINTED_ZEROS])
+    Chi = np.array([e[j] for _, j in PRINTED_ZEROS])
+    _, _, q_min, flags = zeros_mod._classify(W, Phi, Chi)
+    assert np.abs(q_min - q).max() <= 1e-12
+    assert not flags.any()
+    Phi = np.array([choi_lam_continuum_zero(al, be)
+                    for al, be in [(0.0, 0.0), (0.7, 1.9), (-1.3, 0.4), (2.0, -0.5)]])
+    Chi = np.array([np.linalg.eigh(apply_map(W, np.outer(p, p.conj())))[1][:, 0]
+                    for p in Phi])
+    kinds, _, q_min, flags = zeros_mod._classify(W, Phi, Chi)
+    assert np.abs(q_min).max() <= 1e-12
+    assert flags.all() and set(kinds) == {"quartic"}
+
+
+def _quartic_samples(c):
+    """A binary quartic sum_k c_k x^(4-k) y^k at the fitting angles."""
+    x, y = np.cos(zeros_mod._CIRCLE), np.sin(zeros_mod._CIRCLE)
+    return sum(ck * x ** (4 - k) * y ** k for k, ck in enumerate(c))
+
+
+@pytest.mark.parametrize("c, minimum", [
+    ((1 / 8, 0.0, 1 / 4, 0.0, 1 / 8), 1 / 8),          # (x^2 + y^2)^2 / 8: constant
+    ((0.0, 0.0, 0.0, 0.0, 0.0), 0.0),                  # vanishes on the circle
+    ((2.0, 0.0, 2.0, 0.0, 1.0), 1.0),                  # minimum at (0, 1)
+    ((1.0, -4.0, 2.0, 0.0, 1.0), 1 - 3 * np.sqrt(3) / 4),  # xy^3 term zero, min at pi/6
+    ((1.0, 0.0, 2.0, 0.0, 1.0 + 1e-9), 1.0),           # nearly constant
+], ids=["constant", "zero", "min-at-0-1", "leading-zero", "nearly-constant"])
+def test_circle_min_exact(c, minimum):
+    q = zeros_mod._circle_min(_quartic_samples(c)[None])
+    assert abs(q[0] - minimum) <= 1e-13
+
+
+def test_circle_min_matches_dense_grid():
+    """On random quartics the exact minimum sits just below the minimum
+    of a fine grid, never above it: no critical direction is missed."""
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(200, 5))
+    q = zeros_mod._circle_min(np.array([_quartic_samples(row) for row in c]))
+    theta = np.linspace(0.0, np.pi, 20001)
+    x, y = np.cos(theta), np.sin(theta)
+    grid = np.array([sum(ck * x ** (4 - k) * y ** k for k, ck in enumerate(row))
+                     for row in c]).min(axis=1)
+    assert np.all(q <= grid + 1e-12)
+    assert np.all(grid - q <= 1e-6)
+
+
+def test_classify_refuses_uncertified_null_space(monkeypatch):
+    """With three or more null directions only the lowest two are
+    searched: a positive minimum there is an error, not an isolated zero."""
+    W = choi_lam_witness()
+    e = np.eye(3, dtype=complex)
+    monkeypatch.setattr(zeros_mod, "HESS_TOL", 1.0)   # six null directions
+    with pytest.raises(ValueError, match="cannot certify"):
+        zeros_mod._classify(W, e[[1]], e[[0]])
 
 
 def test_find_zeros_single_start():
@@ -468,6 +544,13 @@ def test_find_zeros_no_starts():
         find_zeros(choi_lam_witness(), starts=-5)
     # an interior witness has no zeros: its one start is rejected
     assert find_zeros(Witness(3, 3, np.eye(9)), starts=1) == []
+
+
+def test_find_zeros_on_zero_witness():
+    """f = 0 everywhere: the Hessian vanishes, and the certificate must
+    not divide by its eigenvalues."""
+    zeros = find_zeros(Witness(3, 3, np.zeros((9, 9))), starts=3, seed=1)
+    assert zeros and all(z.value == 0.0 for z in zeros)
 
 
 def _max_entangled_witness():
