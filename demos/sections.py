@@ -32,12 +32,12 @@ e = np.eye(3)
 
 banner("Diagonal section: triangle, rotated and halved")
 plane = posmap.plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
-                                 np.outer(e[1], e[1]),
-                                 norm_frame="image", W=W)
+                                 np.outer(e[1], e[1]), W=W)
 print("frame constants (a, b, c):", np.round(plane.abc, 12))
 src = posmap.scan_boundary(plane, n_theta=360)
 img = posmap.scan_boundary(plane, transform="image_plane", n_theta=360)
-dashed = posmap.scan_boundary(plane, transform="map", n_theta=360)
+# The mapped source boundary has the source's coordinates.
+dashed = posmap.BoundaryCurve(src.theta, src.r, "image_of_source")
 print("source r at theta=0 (pure-state corner):", src.r[0])
 print("rotate the image-plane triangle by 60 deg and halve it, compare",
       "to the mapped source:",
@@ -58,7 +58,7 @@ print("wrote", path, "and the svg next to it")
 
 banner("Tangent section: the plane through the continuum states")
 rho0, rho1, rho2 = posmap.choi_lam_tangent_section()
-tplane = posmap.plane_from_states(rho0, rho1, rho2, norm_frame="image", W=W)
+tplane = posmap.plane_from_states(rho0, rho1, rho2, W=W)
 a, b, c = tplane.abc
 print("constants: a =", a, " b =", b, " c =", c)
 print("image axes are the source axes scaled by -1/2:",

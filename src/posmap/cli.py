@@ -16,8 +16,10 @@ import numpy as np
 from . import builtin as builtins_mod
 from .bipartite import Witness, diagnostics
 from .normalize import normalize
-from .sections import (BoundaryCurve, plane_from_states, project_point,
-                       scan_boundary, section_of_type)
+# plane_from_states is unused here but stays importable from posmap.cli:
+# the benchmark tracer (bench/tracer.py) patches it under this module.
+from .sections import (SECTION_TYPES, BoundaryCurve, plane_from_states,
+                       project_point, scan_boundary, section_of_type)
 from .serialize import (FormatError, atomic_write, curves_to_csv,
                         diagnostics_to_json, hermitian_to_obj,
                         normalization_to_json, render_section_svg,
@@ -28,7 +30,6 @@ from .zeros import find_zeros
 __all__ = ["main"]
 
 BUILTIN_NAMES = ("choi-lam", "horodecki-2x4", "identity", "transposition")
-SECTION_TYPES = ("A", "B", "C", "D", "E", "F", "diag", "tangent")
 
 
 # =============================================================================
@@ -139,28 +140,14 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
-def _section_plane(W: Witness, kind: str, seed: int):
-    eye = np.eye(W.m, dtype=complex)
-    if kind == "diag":
-        return plane_from_states(eye / W.m, np.outer(eye[:, 0], eye[:, 0]),
-                                 np.outer(eye[:, 1], eye[:, 1]),
-                                 norm_frame="image", W=W)
-    if kind == "tangent":
-        if W.m != 3 or W.n != 3:
-            raise ValueError("tangent section is defined for 3x3 maps")
-        rho0, rho1, rho2 = builtins_mod.choi_lam_tangent_section()
-        return plane_from_states(rho0, rho1, rho2, norm_frame="image", W=W)
-    return section_of_type(kind, k=W.m, seed=seed, norm_frame="image", W=W)
-
-
 def _cmd_section(args) -> int:
     W = _load_witness(args)
     seed = _resolve_seed(args.seed)
-    plane = _section_plane(W, args.type, seed)
+    plane = section_of_type(args.type, k=W.m, seed=seed, W=W)
     source = scan_boundary(plane, transform="none", n_theta=args.samples)
     # The mapped boundary has the source's coordinates: no second scan.
     image_of_source = BoundaryCurve(source.theta, source.r, "image_of_source")
-    image_plane = scan_boundary(plane, transform="image_plane", W=W,
+    image_plane = scan_boundary(plane, transform="image_plane",
                                 n_theta=args.samples)
 
     a, b, c = plane.abc

@@ -72,19 +72,30 @@ def _inverse_images(W: Witness, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G is the step image before the gauge rescale.
 
     :raises ValueError: if an intermediate matrix is not positive
-        definite (the map is not strictly positive on the iterate).
+        definite. For a positive map, supp M(X) = supp M(I) for every
+        positive definite X (and likewise for M^T), so a singular image
+        means the map decreases rank and has no unital, trace-preserving
+        form; the message says so.
     """
     S = apply_map(W, X)
     try:
         S_inv = inv_pd(S)
     except ValueError as exc:
-        raise ValueError(f"map image is not positive definite: {exc}") from exc
+        raise ValueError(
+            f"map image M(X) is not positive definite ({exc}); a positive "
+            f"map has supp M(X) = supp M(I) for every positive definite X, "
+            f"so a singular image means the map decreases rank and has no "
+            f"unital, trace-preserving form"
+        ) from exc
     T = apply_transposed_map(W, S_inv)
     try:
         G = inv_pd(T)
     except ValueError as exc:
         raise ValueError(
-            f"transposed-map image is not positive definite: {exc}"
+            f"transposed-map image M^T(M(X)^-1) is not positive definite "
+            f"({exc}); a positive map has supp M^T(Y) = supp M^T(I) for "
+            f"every positive definite Y, so a singular image means the map "
+            f"decreases rank and has no unital, trace-preserving form"
         ) from exc
     return S_inv, G
 

@@ -16,6 +16,12 @@ U = cos(theta) B + sin(theta) C stays positive semidefinite up to
 r* = -1 / lambda_min(L), where L = rho0^(-1/2) U rho0^(-1/2) is taken on
 the face (support) of rho0. The axes must lie in that face, which holds
 for a singular origin whose plane stays on the boundary (type E).
+
+:data:`SECTION_TYPES` lists the named planes :func:`section_of_type`
+builds, and the CLI offers exactly these. ``diag`` is the plane of I/k
+and the first two diagonal states, so on k = 3 it is type D; ``tangent``
+and F are the same plane through the Choi-Lam continuum, on any map
+with a 3 x 3 source.
 """
 
 from dataclasses import dataclass, field
@@ -23,9 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bipartite import Witness, apply_map
+from .builtin import choi_lam_tangent_section
 from .hermitian import as_hermitian, hs_inner
 
 __all__ = [
+    "SECTION_TYPES",
     "SectionPlane",
     "BoundaryCurve",
     "plane_from_states",
@@ -41,6 +49,7 @@ TRACE_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 
 CURVE_LABELS = ("source", "image_of_source", "image_plane")
+SECTION_TYPES = ("A", "B", "C", "D", "E", "F", "diag", "tangent")
 
 
 # =============================================================================
@@ -51,24 +60,21 @@ CURVE_LABELS = ("source", "image_of_source", "image_plane")
 class SectionPlane:
     """Affine plane rho0 + x B + y C in trace-one Hermitian matrix space.
 
-    ``norm_frame`` records which side the constants (a, b, c) were chosen
-    to orthonormalize: "source" for B, C themselves, "image" for the
-    mapped axes. For an image-framed plane the mapped origin and axes are
-    stored as well, so projections in the declared frame need no map.
+    ``norm_frame`` records which side the constants (a, b, c)
+    orthonormalize: "image" for the mapped axes, when the mapped origin
+    and axes are stored (so projections in that frame need no map), and
+    "source" for B, C themselves otherwise.
     """
 
     rho0: np.ndarray
     B: np.ndarray
     C: np.ndarray
     abc: tuple
-    norm_frame: str
     image_rho0: np.ndarray = field(default=None, repr=False)
     image_B: np.ndarray = field(default=None, repr=False)
     image_C: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.norm_frame not in ("source", "image"):
-            raise ValueError(f"unknown norm_frame {self.norm_frame!r}")
         rho0 = as_hermitian(self.rho0)
         B = as_hermitian(self.B)
         C = as_hermitian(self.C)
@@ -82,8 +88,8 @@ class SectionPlane:
         object.__setattr__(self, "C", C)
 
     @property
-    def k(self) -> int:
-        return self.rho0.shape[0]
+    def norm_frame(self) -> str:
+        return "source" if self.image_rho0 is None else "image"
 
     def point(self, x: float, y: float) -> np.ndarray:
         """Matrix at plane coordinates (x, y)."""
@@ -91,7 +97,7 @@ class SectionPlane:
 
     def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(origin, axis1, axis2) of the declared orthonormal frame."""
-        if self.norm_frame == "image":
+        if self.image_rho0 is not None:
             return self.image_rho0, self.image_B, self.image_C
         return self.rho0, self.B, self.C
 
@@ -133,23 +139,22 @@ class BoundaryCurve:
 # =============================================================================
 
 def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
-                      norm_frame: str = "source",
                       W: Witness = None) -> SectionPlane:
     """Build a section plane through three trace-one Hermitian matrices.
 
     The constants are fixed by Gram-Schmidt: a = 1/|d1|,
     c = -b <d1, d2>/|d1|^2 and b normalizing the orthogonal complement,
-    where d1, d2 are the axis differences of the declared frame (source:
-    rho_i - rho0; image: M rho_i - M rho0). Always a > 0 and b > 0, so
-    rho1 sits at y = 0, x > 0 in the declared frame.
+    where d1, d2 are the axis differences of the frame: the source
+    differences rho_i - rho0, or with a witness the image differences
+    M rho_i - M rho0. Always a > 0 and b > 0, so rho1 sits at y = 0,
+    x > 0 in that frame.
 
     :param rho0: origin state (trace 1).
     :param rho1: state fixing the x axis direction.
     :param rho2: second spanning state; need not be positive
         semidefinite, only Hermitian with trace 1.
-    :param norm_frame: which side to orthonormalize, "source" or "image".
-    :param W: witness whose map defines the image frame; required for
-        norm_frame="image".
+    :param W: witness whose map defines the image frame; without one the
+        source axes are orthonormalized.
     :return: SectionPlane.
     :raises ValueError: linearly dependent differences, or a map that
         collapses the plane.
@@ -162,23 +167,19 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
             raise ValueError("section states must have trace 1")
     d1 = rho1 - rho0
     d2 = rho2 - rho0
-    if norm_frame == "image":
-        if W is None:
-            raise ValueError("norm_frame='image' requires a witness")
+    if W is None:
+        g1, g2 = d1, d2
+    else:
         img0 = apply_map(W, rho0)
         g1 = apply_map(W, rho1) - img0
         g2 = apply_map(W, rho2) - img0
-    elif norm_frame == "source":
-        g1, g2 = d1, d2
-    else:
-        raise ValueError(f"unknown norm_frame {norm_frame!r}")
 
     g11 = hs_inner(g1, g1)
     g12 = hs_inner(g1, g2)
     g22 = hs_inner(g2, g2)
     gram = g11 * g22 - g12 * g12
     if gram <= GRAM_TOL:
-        if norm_frame == "image":
+        if W is not None:
             raise ValueError("map collapses the section plane "
                              "(image differences linearly dependent)")
         raise ValueError("rho1 - rho0 and rho2 - rho0 are linearly dependent")
@@ -189,12 +190,10 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
 
     B = a * d1
     C = b * d2 + c * d1
-    if norm_frame == "image":
-        return SectionPlane(rho0, B, C, (a, b, c), "image",
-                            image_rho0=img0,
-                            image_B=a * g1,
-                            image_C=b * g2 + c * g1)
-    return SectionPlane(rho0, B, C, (a, b, c), "source")
+    if W is None:
+        return SectionPlane(rho0, B, C, (a, b, c))
+    return SectionPlane(rho0, B, C, (a, b, c), image_rho0=img0,
+                        image_B=a * g1, image_C=b * g2 + c * g1)
 
 
 def _random_state(rng: np.random.Generator, k: int, rank: int) -> np.ndarray:
@@ -205,95 +204,59 @@ def _random_state(rng: np.random.Generator, k: int, rank: int) -> np.ndarray:
 
 
 def _pure(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex)
     return np.outer(phi, phi.conj()) / (np.linalg.norm(phi) ** 2)
 
 
-def section_of_type(kind: str, k: int = 3, vectors=None, seed: int = 42,
-                    norm_frame: str = "source",
+def section_of_type(kind: str, k: int = 3, seed: int = 42,
                     W: Witness = None) -> SectionPlane:
-    """Construct one of the six standard section types A-F.
+    """Construct one of the named section planes of :data:`SECTION_TYPES`.
 
     A: rho1, rho2 random rank-2 states, origin I/k.
     B: rho1 a random pure state, rho2 random full rank, origin I/k.
     C: rho1, rho2 both random pure states, origin I/k.
-    D: simplex plane of three pure states from linearly independent
-       vectors (default the standard basis), origin the even mix.
-    E: as D but with linearly dependent vectors (default e1, e2,
-       (e1+e2)/sqrt(2)); the plane cuts a Bloch sphere lying in the
-       boundary, so interior points have rank 2.
-    F: rho1 = phi1 phi1^dag pure, rho2 = rho1 + phi1 xi^dag + xi phi1^dag
-       with xi orthogonal to phi1 (first-order pure direction), origin
-       I/k; vectors = (phi1, xi). Default is the tangent plane at the
-       Choi-Lam continuum zero phi = (1,1,1)/sqrt(3), xi = i e2/sqrt(3).
+    D: simplex plane of the pure states e1, e2, e3, origin their even
+       mix (k >= 3).
+    E: as D with the linearly dependent e1, e2, (e1+e2)/sqrt(2); the
+       plane cuts a Bloch sphere lying in the boundary, so interior
+       points have rank 2 (k >= 2).
+    diag: origin I/k through e1 e1^dag and e2 e2^dag (k >= 3; type D
+       when k = 3).
+    F, tangent: the plane of :func:`~posmap.builtin.choi_lam_tangent_section`,
+       through the Choi-Lam continuum state at phi = (1,1,1)/sqrt(3)
+       along its tangent (k = 3).
 
-    :param kind: one of "A".."F".
-    :param k: matrix dimension (types D-F with default vectors need k=3;
-        the vectors passed for types D-F have length k).
-    :param vectors: type-specific vector inputs, see above.
+    :param kind: one of :data:`SECTION_TYPES`.
+    :param k: matrix dimension of the source side.
     :param seed: RNG seed for the random types A-C.
-    :param norm_frame: passed to plane_from_states.
-    :param W: witness for norm_frame="image".
+    :param W: witness whose map fixes the image frame (see
+        :func:`plane_from_states`); None for the source frame.
     :return: SectionPlane.
-    :raises ValueError: rank or independence preconditions violated.
+    :raises ValueError: an unknown type, or a k the type does not allow.
     """
-    rng = np.random.default_rng(seed)
+    if kind not in SECTION_TYPES:
+        raise ValueError(f"unknown section type {kind!r}")
+    if kind in ("F", "tangent") and k != 3:
+        raise ValueError(f"section type {kind} needs k = 3, got k = {k}")
+    least = {"D": 3, "diag": 3, "E": 2}.get(kind, 1)
+    if k < least:
+        raise ValueError(f"section type {kind} needs k >= {least}, got k = {k}")
     eye = np.eye(k, dtype=complex)
-    if kind == "A":
+    if kind in ("A", "B", "C"):
+        rng = np.random.default_rng(seed)
+        ranks = {"A": (2, 2), "B": (1, k), "C": (1, 1)}[kind]
         rho0 = eye / k
-        rho1 = _random_state(rng, k, 2)
-        rho2 = _random_state(rng, k, 2)
-    elif kind == "B":
-        rho0 = eye / k
-        rho1 = _random_state(rng, k, 1)
-        rho2 = _random_state(rng, k, k)
-    elif kind == "C":
-        rho0 = eye / k
-        rho1 = _random_state(rng, k, 1)
-        rho2 = _random_state(rng, k, 1)
+        rho1, rho2 = (_random_state(rng, k, rank) for rank in ranks)
     elif kind in ("D", "E"):
-        if vectors is None:
-            if kind == "D":
-                vectors = (eye[:, 0], eye[:, 1], eye[:, 2]) if k >= 3 else None
-            else:
-                v3 = (eye[:, 0] + eye[:, 1]) / np.sqrt(2.0)
-                vectors = (eye[:, 0], eye[:, 1], v3)
-        if vectors is None or len(vectors) != 3:
-            raise ValueError(f"type {kind} needs three vectors")
-        vectors = [np.asarray(v, dtype=complex) for v in vectors]
-        if any(v.shape != (k,) for v in vectors):
-            raise ValueError(f"type {kind} vectors must have length k = {k}")
-        V = np.column_stack(vectors)
-        rank = np.linalg.matrix_rank(V, tol=1e-12)
-        if kind == "D" and rank != 3:
-            raise ValueError("type D vectors must be linearly independent")
-        if kind == "E" and rank != 2:
-            raise ValueError("type E vectors must span exactly two dimensions")
-        pures = [_pure(V[:, i]) for i in range(3)]
+        third = eye[:, 2] if kind == "D" else (eye[:, 0] + eye[:, 1]) / np.sqrt(2.0)
+        pures = [_pure(v) for v in (eye[:, 0], eye[:, 1], third)]
         rho0 = (pures[0] + pures[1] + pures[2]) / 3.0
         rho1, rho2 = pures[0], pures[1]
-    elif kind == "F":
-        if vectors is None:
-            if k != 3:
-                raise ValueError(f"type F default vectors need k = 3, got {k}")
-            phi1 = np.ones(3, dtype=complex) / np.sqrt(3.0)
-            xi = np.array([0.0, 1j, 0.0]) / np.sqrt(3.0)
-        else:
-            phi1, xi = (np.asarray(v, dtype=complex) for v in vectors)
-            if phi1.shape != (k,) or xi.shape != (k,):
-                raise ValueError(f"type F vectors must have length k = {k}")
-        # Only the real part of the overlap matters: an imaginary-parallel
-        # component of xi is a phase rotation of phi1 and cancels in D.
-        if abs(np.vdot(phi1, xi).real) > 1e-10 * np.linalg.norm(phi1) * np.linalg.norm(xi):
-            raise ValueError("type F needs xi orthogonal to phi1 "
-                             "(real part of the overlap)")
-        phi1 = phi1 / np.linalg.norm(phi1)
+    elif kind == "diag":
         rho0 = eye / k
-        rho1 = np.outer(phi1, phi1.conj())
-        rho2 = rho1 + np.outer(phi1, xi.conj()) + np.outer(xi, phi1.conj())
+        rho1, rho2 = (np.outer(eye[:, i], eye[:, i]) for i in (0, 1))
     else:
-        raise ValueError(f"unknown section type {kind!r}")
-    return plane_from_states(rho0, rho1, rho2, norm_frame=norm_frame, W=W)
+        rho0, rho1, rho2 = choi_lam_tangent_section()
+    return plane_from_states(rho0, rho1, rho2, W=W)
 
 
 # =============================================================================
@@ -337,47 +300,40 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
 
 
 def scan_boundary(plane: SectionPlane, transform: str = "none",
-                  W: Witness = None, n_theta: int = 720) -> BoundaryCurve:
+                  n_theta: int = 720) -> BoundaryCurve:
     """Scan a positivity boundary curve in a section plane.
 
     transform="none" scans X = rho0 + xB + yC and labels the curve
-    "source". transform="map" returns the same samples labeled
-    "image_of_source": the coordinates of the mapped boundary are
-    identical because MX = Mrho0 + x MB + y MC, with the mapped axes
-    sharing the constants (a, b, c). transform="image_plane" scans
-    boundary of the state set in the image plane,
-    X~ = Mrho0 + x MB + y MC, the solid curve of the plots.
+    "source". Its samples are also those of the mapped boundary: since
+    MX = Mrho0 + x MB + y MC with the mapped axes sharing the constants
+    (a, b, c), the same coordinates label MX, so callers relabel the
+    source curve "image_of_source" rather than rescan.
+    transform="image_plane" scans the boundary of the state set in the
+    image plane, X~ = Mrho0 + x MB + y MC, the solid curve of the plots.
 
-    :param plane: section plane.
-    :param transform: "none", "map" or "image_plane".
-    :param W: witness providing the map; required for "image_plane" when
-        the plane does not carry image axes (i.e. norm_frame="source").
+    :param plane: section plane; "image_plane" needs an image-framed one
+        (built with a witness).
+    :param transform: "none" or "image_plane".
     :param n_theta: number of uniformly spaced rays on [0, 2 pi).
     :return: BoundaryCurve with n_theta polar samples.
-    :raises ValueError: unknown transform, a missing witness, an origin
-        that is not positive semidefinite, an axis off the origin's face,
-        or an unbounded section (impossible for trace-one planes).
+    :raises ValueError: unknown transform, an image scan of a
+        source-framed plane, an origin that is not positive
+        semidefinite, an axis off the origin's face, or an unbounded
+        section (impossible for trace-one planes).
     """
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    if transform in ("none", "map"):
-        r = _scan_rays(plane.rho0, plane.B, plane.C, theta)
-        label = "source" if transform == "none" else "image_of_source"
-        return BoundaryCurve(theta, r, label)
+    if transform == "none":
+        return BoundaryCurve(theta, _scan_rays(plane.rho0, plane.B, plane.C, theta),
+                             "source")
     if transform != "image_plane":
         raise ValueError(f"unknown transform {transform!r}")
-    if plane.image_rho0 is not None:
-        origin, Bi, Ci = plane.image_rho0, plane.image_B, plane.image_C
-    elif W is not None:
-        origin = apply_map(W, plane.rho0)
-        Bi = apply_map(W, plane.B)
-        Ci = apply_map(W, plane.C)
-    else:
-        raise ValueError("transform='image_plane' requires a witness "
-                         "or an image-framed plane")
-    if abs(np.trace(origin).real - 1.0) > TRACE_TOL:
+    if plane.image_rho0 is None:
+        raise ValueError("transform='image_plane' needs a plane built "
+                         "with a witness (image frame)")
+    if abs(np.trace(plane.image_rho0).real - 1.0) > TRACE_TOL:
         raise ValueError("image origin is not trace-one; "
                          "the map must preserve trace on the plane")
-    r = _scan_rays(origin, Bi, Ci, theta)
+    r = _scan_rays(plane.image_rho0, plane.image_B, plane.image_C, theta)
     return BoundaryCurve(theta, r, "image_plane")
 
 

@@ -123,7 +123,7 @@ REFINE_BUDGET = 6000
 POLL_STEPS = np.array([1.0, -1.0, 1j, -1j])
 # Sweep cap of the alternation.
 SWEEP_CAP = 200
-# Largest |f_A|, relative to max(1, ||A||), that classify_zero accepts as a zero.
+# Largest |f_A|, relative to ||A||, that classify_zero accepts as a zero.
 ZERO_TOL = 1e-9
 # Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
 HESS_TOL = 1e-7
@@ -436,6 +436,18 @@ def _circle_min(samples: np.ndarray) -> np.ndarray:
     return np.einsum("zjk,zk->zj", _monomials(theta), c).min(axis=1)
 
 
+def _scale(W: Witness) -> float:
+    """||A||, the scale of every zero tolerance; a zero witness has none.
+
+    :raises ValueError: if A = 0, where every product vector is a zero.
+    """
+    scale = hs_norm(W.matrix)
+    if scale == 0.0:
+        raise ValueError("the witness is zero: every product vector is a "
+                         "zero, so there are none to search or classify")
+    return scale
+
+
 def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray
               ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked zero classification and continuum certificate,
@@ -457,7 +469,7 @@ def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray
     """
     count = Phi.shape[0]
     dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
-    scale = hs_norm(W.matrix)
+    scale = _scale(W)
     hess_tol = HESS_TOL * scale
     spectra = np.empty((count, dim))
     q_min = np.empty(count)
@@ -505,14 +517,14 @@ def classify_zero(W: Witness, phi: np.ndarray,
     :param phi: unit vector, m side.
     :param chi: unit vector, n side.
     :return: (kind, ascending Hessian eigenvalues).
-    :raises ValueError: if |f_A(phi, chi)| exceeds :data:`ZERO_TOL`
-        (relative), or if the continuum certificate of :func:`find_zeros`
-        cannot be decided at the zero.
+    :raises ValueError: if W is zero, if |f_A(phi, chi)| exceeds
+        :data:`ZERO_TOL` * ||A||, or if the continuum certificate of
+        :func:`find_zeros` cannot be decided at the zero.
     """
     Phi = np.asarray(phi, dtype=complex)[None]
     Chi = np.asarray(chi, dtype=complex)[None]
     value = abs(biquadratic_form(W, Phi, Chi)[0])
-    if value > ZERO_TOL * max(1.0, hs_norm(W.matrix)):
+    if value > ZERO_TOL * _scale(W):
         raise ValueError(
             f"not a zero: |f| = {value:.3e} exceeds {ZERO_TOL:.1e} (relative)"
         )
@@ -559,7 +571,7 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     Runs the alternation of :func:`alternating_minimize` (at most
     :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors,
     polishes each result by the pattern search of :func:`refine_zero`,
-    keeps results with value at most ``tol * max(1, ||A||)``, merges
+    keeps results with value at most ``tol * ||A||``, merges
     candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
     1 - :data:`DEDUP_TOL` (keeping the lowest value), and classifies each
     survivor, certifying its continuum flag from its own reduced quartic
@@ -572,17 +584,17 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :param seed: RNG seed for the starts.
     :param tol: relative acceptance threshold on the minimized value.
     :return: list of :class:`ProductZero`, values ascending.
-    :raises ValueError: if ``starts`` is negative.
+    :raises ValueError: if ``starts`` is negative or W is zero.
     :raises NotBlockPositiveError: if a polished start has a value below
-        ``-tol * max(1, ||A||)``; it carries the lowest such start.
+        ``-tol * ||A||``; it carries the lowest such start.
     :raises ValueError: if a zero has three or more Hessian null
         directions and its reduced quartic does not vanish on the two
         lowest (see :func:`_classify`).
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
+    scale = _scale(W)
     rng = np.random.default_rng(seed)
-    scale = max(1.0, hs_norm(W.matrix))
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
     Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1])

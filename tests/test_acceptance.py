@@ -128,14 +128,14 @@ def test_criterion_05_choi_lam_geometry():
     W = choi_lam_witness()
     e = np.eye(3)
     diag = plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
-                             np.outer(e[1], e[1]), norm_frame="image", W=W)
-    dashed = scan_boundary(diag, transform="map", n_theta=720)
+                             np.outer(e[1], e[1]), W=W)
+    dashed = scan_boundary(diag, n_theta=720)
     solid = scan_boundary(diag, transform="image_plane", n_theta=720)
     assert np.abs(np.roll(solid.r, 120) / 2 - dashed.r).max() < 1e-8
     assert np.abs(np.roll(solid.r, -120) / 2 - dashed.r).max() < 1e-8
 
     rho0, rho1, rho2 = choi_lam_tangent_section()
-    tangent = plane_from_states(rho0, rho1, rho2, norm_frame="image", W=W)
+    tangent = plane_from_states(rho0, rho1, rho2, W=W)
     a, b, _ = tangent.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 3.0) < 1e-12

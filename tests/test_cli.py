@@ -159,7 +159,7 @@ def test_section_f_default_requires_dim_3(tmp_path):
     proc = run_cli("section", "--builtin", "identity", "--dim", "2", "--type", "F",
                    "--output", str(out))
     assert proc.returncode == 4
-    assert "type F default vectors need k = 3" in proc.stderr
+    assert "section type F needs k = 3, got k = 2" in proc.stderr
     assert not out.exists()
 
 
@@ -248,6 +248,16 @@ def test_zeros_exit_4_on_non_witness(tmp_path, matrix):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "not block-positive" in proc.stderr
+
+
+def test_normalize_exit_4_on_rank_decreasing_map(tmp_path):
+    w = tmp_path / "w.json"
+    w.write_text(witness_to_json(Witness(3, 3, np.kron(np.diag([1.0, 0.0, 0.0]),
+                                                       np.eye(3)))))
+    proc = run_cli("normalize", "--input", str(w))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "no unital, trace-preserving form" in proc.stderr
 
 
 def test_cli_deterministic_bytes(tmp_path):

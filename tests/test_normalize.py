@@ -80,6 +80,15 @@ def test_iterate_step_rejects_indefinite_image():
         _step(W, np.eye(2))
 
 
+def test_rank_decreasing_map_has_no_normal_form():
+    """kron(diag(1, 0, 0), I) sends I to a singular transposed image: a
+    positive map keeps that support on every positive definite input, so
+    the error says the map decreases rank instead of failing later."""
+    W = Witness(3, 3, np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3)))
+    with pytest.raises(ValueError, match="decreases rank"):
+        normalize(W)
+
+
 def test_history_monotone_tail():
     """Step norms decay once the iteration enters its contraction basin."""
     res = normalize(horodecki_2x4_witness())

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from posmap.bipartite import apply_map
+from posmap.bipartite import Witness
 from posmap.builtin import choi_lam_tangent_section, choi_lam_witness
-from posmap.cli import SECTION_TYPES, _section_plane
 from posmap.hermitian import hs_inner, hs_norm
-from posmap.sections import (BOUNDARY_TOL, SectionPlane, plane_from_states,
-                             project_point, scan_boundary, section_of_type,
-                             _scan_rays)
+from posmap.sections import (BOUNDARY_TOL, SECTION_TYPES, SectionPlane,
+                             plane_from_states, project_point, scan_boundary,
+                             section_of_type, _scan_rays)
 
 
-def _diag_plane(W=None, norm_frame="source"):
+def _diag_plane(W=None):
     e = np.eye(3)
     return plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]), np.outer(e[1], e[1]),
-                             norm_frame=norm_frame, W=W)
+                             W=W)
 
 
 def test_plane_axes_orthonormal():
@@ -58,7 +57,7 @@ def test_tangent_section_constants():
     """Image-frame constants (sqrt(6), 3, -3) and image axes -B/2, -C/2."""
     W = choi_lam_witness()
     rho0, rho1, rho2 = choi_lam_tangent_section()
-    plane = plane_from_states(rho0, rho1, rho2, norm_frame="image", W=W)
+    plane = plane_from_states(rho0, rho1, rho2, W=W)
     a, b, c = plane.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 3.0) < 1e-12
@@ -70,7 +69,7 @@ def test_tangent_section_constants():
 
 def test_diag_section_image_constants():
     W = choi_lam_witness()
-    plane = _diag_plane(W=W, norm_frame="image")
+    plane = _diag_plane(W=W)
     a, b, c = plane.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 2 * np.sqrt(2)) < 1e-12
@@ -102,7 +101,7 @@ def test_scan_boundary_tightness():
     """
     W = choi_lam_witness()
     for kind in SECTION_TYPES:
-        plane = _section_plane(W, kind, 42)
+        plane = section_of_type(kind, k=W.m, W=W)
         for transform, (origin, B, C) in (
                 ("none", (plane.rho0, plane.B, plane.C)),
                 ("image_plane", plane.frame())):
@@ -120,14 +119,11 @@ def test_scan_boundary_tightness():
 
 def test_scan_labels_and_carryover():
     W = choi_lam_witness()
-    plane = _diag_plane(W=W, norm_frame="image")
+    plane = _diag_plane(W=W)
     src = scan_boundary(plane)
-    mapped = scan_boundary(plane, transform="map")
     solid = scan_boundary(plane, transform="image_plane")
-    assert mapped.label == "image_of_source"
+    assert src.label == "source"
     assert solid.label == "image_plane"
-    # transform="map" relabels the source scan: same radii, same angles
-    assert np.abs(mapped.r - src.r).max() == 0.0
     with pytest.raises(ValueError):
         scan_boundary(plane, transform="sideways")
 
@@ -136,8 +132,8 @@ def test_diag_image_plane_is_medial_triangle():
     """The mapped source triangle is the image triangle rotated 60 degrees
     and scaled by one half, pointwise over the ray grid."""
     W = choi_lam_witness()
-    plane = _diag_plane(W=W, norm_frame="image")
-    dashed = scan_boundary(plane, transform="map")
+    plane = _diag_plane(W=W)
+    dashed = scan_boundary(plane)
     solid = scan_boundary(plane, transform="image_plane")
     n = dashed.r.size
     shift = n // 6  # 60 degrees
@@ -186,53 +182,46 @@ def test_section_type_e_boundary_circle():
     assert abs(vals[-1] - 1.0) < 1e-8  # pure state on the boundary
 
 
-def test_section_type_vector_rank_validation():
-    e = np.eye(3)
-    with pytest.raises(ValueError):
-        section_of_type("E", vectors=(e[0], e[1], e[2]), k=3)  # independent
-    with pytest.raises(ValueError):
-        section_of_type("D", vectors=(e[0], e[1], (e[0] + e[1]) / np.sqrt(2)), k=3)
-    with pytest.raises(ValueError):
-        section_of_type("D", k=2)  # no default triple in C^2
+@pytest.mark.parametrize("kind, k", [("E", 0), ("E", 1), ("D", 2), ("diag", 2),
+                                     ("F", 2), ("F", 4), ("tangent", 4)])
+def test_section_type_checks_k(kind, k):
+    """Each type checks its dimension up front, with an error naming k:
+    D and diag need three basis states, E two, F and tangent are the
+    3 x 3 plane of the Choi-Lam continuum."""
+    with pytest.raises(ValueError, match=f"got k = {k}"):
+        section_of_type(kind, k=k)
 
 
-def test_section_type_f_orthogonality():
-    phi1 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-    xi_bad = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        section_of_type("F", k=3, vectors=(phi1, xi_bad))
-    # purely imaginary overlap is allowed (it is a phase on phi1)
-    xi_ok = 1j * np.array([1.0, 0.0, 0.0]) / np.sqrt(3)
-    plane = section_of_type("F", k=3, vectors=(phi1, xi_ok))
-    assert abs(np.trace(plane.rho0).real - 1.0) < 1e-12
+def test_diag_and_tangent_are_d_and_f_on_choi_lam():
+    """On a 3 x 3 map, diag is type D and tangent is type F, in both
+    frames and on the image side, entry for entry."""
+    W = choi_lam_witness()
+    for alias, kind in (("diag", "D"), ("tangent", "F")):
+        p, q = section_of_type(alias, W=W), section_of_type(kind, W=W)
+        for name in ("rho0", "B", "C", "image_rho0", "image_B", "image_C"):
+            assert np.array_equal(getattr(p, name), getattr(q, name)), (alias, name)
+        assert p.abc == q.abc
 
 
-def test_section_type_f_needs_vectors_of_length_k():
-    """Type F builds its origin from k, so the vectors must live in C^k."""
-    with pytest.raises(ValueError, match="k = 3"):
-        section_of_type("F", k=2)
-    phi1 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-    xi = 1j * np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="length k = 4"):
-        section_of_type("F", k=4, vectors=(phi1, xi))
-    e = np.eye(2)
-    plane = section_of_type("F", k=2, vectors=(e[0], 1j * e[1]))
-    assert np.abs(plane.rho0 - np.eye(2) / 2).max() < 1e-15
+def test_tangent_runs_on_a_3xn_map():
+    """tangent needs only a 3 x 3 source: choi-lam followed by an
+    isometry into C^4 has the same image boundary as choi-lam."""
+    W = choi_lam_witness()
+    K = np.kron(np.eye(3), np.eye(4, 3))
+    W4 = Witness(3, 4, K @ W.matrix @ K.T)
+    r3, r4 = (scan_boundary(section_of_type("tangent", W=w), transform="image_plane",
+                            n_theta=36).r for w in (W, W4))
+    assert np.abs(r4 / r3 - 1).max() < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["D", "E"])
-def test_section_types_d_e_need_vectors_of_length_k(kind):
-    """Types D and E build their states from the vectors, so a vector
-    outside C^k is an error that names k, as for type F."""
-    e = np.eye(3)
-    triple = (e[0], e[1], e[2]) if kind == "D" else (e[0], e[1], (e[0] + e[1]) / np.sqrt(2))
-    with pytest.raises(ValueError, match="length k = 4"):
-        section_of_type(kind, k=4, vectors=triple)
-    mixed = (np.eye(4)[0],) + triple[1:]
-    with pytest.raises(ValueError, match="length k = 3"):
-        section_of_type(kind, k=3, vectors=mixed)
-    plane = section_of_type(kind, k=4, vectors=[np.append(v, 0.0) for v in triple])
-    assert plane.rho0.shape == (4, 4)
+def test_image_frame_follows_the_witness():
+    """A plane is image-framed exactly when built with a witness, and only
+    then can its image plane be scanned."""
+    W = choi_lam_witness()
+    assert _diag_plane().norm_frame == "source"
+    assert _diag_plane(W=W).norm_frame == "image"
+    with pytest.raises(ValueError, match="witness"):
+        scan_boundary(_diag_plane(), transform="image_plane")
 
 
 def test_unknown_section_type():

@@ -1,15 +1,18 @@
-"""The public surface: every exported name exists, and every attribute
-that the benchmark tracer (``bench/tracer.py``) patches resolves, so a
-later cut of the surface cannot silently break ``--trace 1``."""
+"""The public surface: every exported name exists, every attribute that
+the benchmark tracer (``bench/tracer.py``) patches resolves, so a later
+cut of the surface cannot silently break ``--trace 1``, and the count of
+options is pinned, so a new one has to change a test."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import posmap
+from posmap import cli, sections
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -46,3 +49,19 @@ def test_tracer_patch_targets_resolve():
         # normalize function shadows as an attribute.
         target = getattr(importlib.import_module(module), attr, None)
         assert callable(target), f"{module}.{attr} does not resolve"
+
+
+def test_defaulted_parameter_budget():
+    """Defaulted parameters over the exported functions: each is a knob."""
+    defaults = [f"{name}.{param.name}"
+                for name in posmap.__all__
+                if inspect.isfunction(getattr(posmap, name))
+                for param in inspect.signature(getattr(posmap, name)).parameters.values()
+                if param.default is not inspect.Parameter.empty]
+    assert len(defaults) == 18, defaults
+
+
+def test_cli_section_types_are_the_sections_table():
+    section = cli.build_parser()._subparsers._group_actions[0].choices["section"]
+    (action,) = [a for a in section._actions if a.dest == "type"]
+    assert action.choices is sections.SECTION_TYPES

@@ -547,10 +547,36 @@ def test_find_zeros_no_starts():
 
 
 def test_find_zeros_on_zero_witness():
-    """f = 0 everywhere: the Hessian vanishes, and the certificate must
-    not divide by its eigenvalues."""
-    zeros = find_zeros(Witness(3, 3, np.zeros((9, 9))), starts=3, seed=1)
-    assert zeros and all(z.value == 0.0 for z in zeros)
+    """f = 0 everywhere: every product vector is a zero, and ||A|| = 0
+    leaves the tolerances no scale, so the search and the classification
+    refuse the input."""
+    W = Witness(3, 3, np.zeros((9, 9)))
+    e = np.eye(3)
+    for call in (lambda: find_zeros(W, starts=3, seed=1),
+                 lambda: classify_zero(W, e[0], e[0])):
+        with pytest.raises(ValueError, match="witness is zero"):
+            call()
+
+
+def test_tolerances_scale_with_the_witness():
+    """Acceptance is relative to ||A||, not max(1, ||A||): a tiny negative
+    multiple of I is no witness, and a tiny positive one has no zeros."""
+    with pytest.raises(NotBlockPositiveError):
+        find_zeros(Witness(3, 3, -1e-10 * np.eye(9)), starts=10, seed=1)
+    assert find_zeros(Witness(3, 3, 1e-10 * np.eye(9) / 9), starts=10, seed=1) == []
+
+
+@pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** 10])
+def test_find_zeros_invariant_under_power_of_two_scale(c):
+    """Scaling A by a power of two scales every value exactly, so the
+    zeros, kinds and flags must match the unscaled search bit for bit."""
+    W = choi_lam_witness()
+    base = find_zeros(W, starts=50, seed=42)
+    scaled = find_zeros(Witness(3, 3, c * W.matrix), starts=50, seed=42)
+    assert len(scaled) == len(base)
+    for z, y in zip(scaled, base):
+        assert np.array_equal(z.phi, y.phi) and np.array_equal(z.chi, y.chi)
+        assert (z.kind, z.continuum) == (y.kind, y.continuum)
 
 
 def _max_entangled_witness():
