@@ -310,6 +310,9 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     source curve "image_of_source" rather than rescan.
     transform="image_plane" scans the boundary of the state set in the
     image plane, X~ = Mrho0 + x MB + y MC, the solid curve of the plots.
+    The image plane needs a constant trace t > 0 (|Tr MB| and |Tr MC| at
+    most :data:`TRACE_TOL` * t), not t = 1: a normalized map with m != n
+    scales traces by a constant, which moves no boundary point.
 
     :param plane: section plane; "image_plane" needs an image-framed one
         (built with a witness).
@@ -318,8 +321,9 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     :return: BoundaryCurve with n_theta polar samples.
     :raises ValueError: unknown transform, an image scan of a
         source-framed plane, an origin that is not positive
-        semidefinite, an axis off the origin's face, or an unbounded
-        section (impossible for trace-one planes).
+        semidefinite, an axis off the origin's face, an image plane
+        without a constant positive trace, or an unbounded section
+        (impossible for planes of constant positive trace).
     """
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     if transform == "none":
@@ -330,9 +334,13 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     if plane.image_rho0 is None:
         raise ValueError("transform='image_plane' needs a plane built "
                          "with a witness (image frame)")
-    if abs(np.trace(plane.image_rho0).real - 1.0) > TRACE_TOL:
-        raise ValueError("image origin is not trace-one; "
-                         "the map must preserve trace on the plane")
+    # Positivity along a ray does not depend on the overall scale, so
+    # any plane of constant positive trace t is scanned as it is.
+    t = np.trace(plane.image_rho0).real
+    drift = max(abs(np.trace(plane.image_B).real), abs(np.trace(plane.image_C).real))
+    if not (t > 0.0 and drift <= TRACE_TOL * t):
+        raise ValueError("image plane does not have a constant positive trace; "
+                         "the map must preserve trace on the plane up to a scale")
     r = _scan_rays(plane.image_rho0, plane.image_B, plane.image_C, theta)
     return BoundaryCurve(theta, r, "image_plane")
 

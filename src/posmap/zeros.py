@@ -139,13 +139,21 @@ RANK_TOL = 1e-10
 EVAL_CHUNK = 512
 OVERLAP_BLOCK = 64
 CLASSIFY_CHUNK = 64
+# Least share of the spread of a 3 x 3 spectrum that the gap between the
+# smallest eigenvalue and the next must keep for the closed form of
+# _smallest3, whose error grows as eps * spread^2 / gap; rows with a
+# smaller gap go to LAPACK.
+GAP_SHARE = 0.1
 
 # The kernels below run one operation over a stack of starts or zeros,
 # one row per start. Every stacked step repeats, row by row, the exact
-# floating-point operations of a single-vector computation (the map
-# kernels' GEMM, which also serves a one-row stack, and stacked einsum,
-# eigh, eigvalsh and qr reproduce their per-matrix results), so a
-# start's result does not depend on the other rows of its stack.
+# floating-point operations of a single-vector computation, so a start's
+# result does not depend on the other rows of its stack: the map
+# kernels' GEMM also serves a one-row stack, the closed form of
+# _smallest3 for the smallest eigenpair of 3 x 3 matrices is
+# elementwise, and stacked einsum, qr, eigh and eigvalsh (for other
+# sizes, and for the rows that _smallest3 leaves to LAPACK by
+# GAP_SHARE) reproduce their per-matrix results.
 
 
 def _outer(V: np.ndarray) -> np.ndarray:
@@ -169,7 +177,93 @@ def _normalized(V: np.ndarray) -> np.ndarray:
     return V / _norms(V)[..., None]
 
 
+def _smallest3(H: np.ndarray, vectors: bool):
+    """Smallest eigenvalue, and with ``vectors`` its unit eigenvector, of
+    each matrix of a stack of 3 x 3 Hermitian matrices, read from the
+    lower triangle as ``eigh`` reads it.
+
+    Closed form (Smith 1961): with q = tr H / 3, p = ||H - q I||_F / sqrt 6
+    and r = det(H - q I) / (2 p^3) the eigenvalues are
+    q + 2 p cos(arccos(r) / 3 + 2 pi k / 3), and the eigenvector is the
+    largest of the three bilinear cross products of the rows of
+    H - lambda I, each orthogonal to every row. The smallest eigenvalue
+    loses accuracy as eps * spread^2 / gap where it meets the middle one
+    (r near 1), so rows whose gap is below :data:`GAP_SHARE` of the
+    spread go to ``eigh`` (``eigvalsh`` without vectors), as do rows
+    without a spread (p = 0, where the comparison is NaN) and rows whose
+    cross products all vanish. Every step is elementwise, and LAPACK on
+    a sub-stack matches LAPACK per matrix, so a row's result does not
+    depend on the rest of its stack.
+
+    :return: the eigenvalues, shape (K,), and with ``vectors`` the
+        eigenvectors, shape (K, 3).
+    """
+    H = np.asarray(H, dtype=complex)
+    count = H.shape[0]
+    # G[i, j] is the entry (i, j) of H - q I over the stack, Hermitian
+    # from the lower triangle, with rows and columns 0 and 1 repeated
+    # after the last, so that C[i] = G[i + 1] x G[i + 2] is column i of
+    # the adjugate, whose diagonal C[i, i] holds the principal minors.
+    G = np.empty((5, 5, count), dtype=complex)
+    G[:3, :3] = H.transpose(1, 2, 0)
+    G[0, 1:3] = G[1:3, 0].conj()
+    G[1, 2] = G[2, 1].conj()
+    diag = G.reshape(25, count)[0:13:6]
+    q = (diag[0].real + diag[1].real + diag[2].real) / 3.0
+    S = diag.real - q
+
+    def adjugate(shift):
+        diag[...] = shift
+        G[3:, :3] = G[:2, :3]
+        G[:, 3:] = G[:, :2]
+        return G[1:4, 1:4] * G[2:, 2:] - G[1:4, 2:] * G[2:, 1:4]
+
+    C = adjugate(S)
+    # The principal minors of the traceless H - q I sum to -3 p^2, and
+    # det(H - q I) = G[0] . C[0]; r is formed from parts of order one, so
+    # nothing overflows or underflows before p^2 does. Without a spread
+    # r is NaN, so is every comparison with it, and the row goes to
+    # LAPACK.
+    minors = C.reshape(9, count)[::4].real
+    p2 = -(minors[0] + minors[1] + minors[2]) / 3.0
+    p = np.sqrt(np.maximum(p2, 0.0))
+    inv = 1.0 / np.where(p2 > 0.0, p, np.nan)
+    inv2 = inv * inv
+    P = (G[0, :3] * inv) * (C[0] * inv2)
+    r = (P[0] + P[1] + P[2]).real / 2.0
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
+    # The smallest and largest root of mu^3 - 3 p^2 mu - det(H - q I),
+    # the eigenvalues minus q; the middle one is -lo - hi.
+    lo = 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    hi = 2.0 * p * np.cos(phi)
+    good = -hi - 2.0 * lo >= GAP_SHARE * (hi - lo)
+    lam = q + lo
+    if not vectors:
+        if not good.all():
+            bad = ~good
+            lam[bad] = np.linalg.eigvalsh(H[bad])[:, 0]
+        return lam
+    C = adjugate(S - lo) * inv2
+    N = C.real ** 2 + C.imag ** 2
+    norms = N[:, 0] + N[:, 1] + N[:, 2]
+    best = norms.argmax(axis=0)
+    cols = np.arange(count)
+    top = norms[best, cols]
+    good &= top > 0.0
+    V = C[best, :, cols] * (1.0 / np.sqrt(np.where(good, top, np.nan)))[:, None]
+    if not good.all():
+        bad = ~good
+        w, U = np.linalg.eigh(H[bad])
+        lam[bad] = w[:, 0]
+        V[bad] = U[:, :, 0]
+    return lam, V
+
+
 def _min_eigvec(H: np.ndarray) -> np.ndarray:
+    """Minimal unit eigenvectors of a stack: :func:`_smallest3` for 3 x 3,
+    ``eigh`` for other sizes."""
+    if H.shape[-1] == 3:
+        return _smallest3(H, True)[1]
     return np.linalg.eigh(H)[1][..., 0]
 
 
@@ -231,9 +325,12 @@ def alternating_minimize(W: Witness,
 
     Given phi, the optimal chi is the minimal eigenvector of
     M(phi phi^dag); given chi, the optimal phi is the minimal eigenvector
-    of M^T(chi chi^dag). The value decreases monotonically. Stops when a
-    sweep no longer lowers the value at working precision, or after
-    :data:`SWEEP_CAP` sweeps.
+    of M^T(chi chi^dag). A 3 x 3 matrix takes the closed form of
+    :func:`_smallest3`, which leaves to ``eigh`` the matrices whose
+    smallest eigenvalue lies within :data:`GAP_SHARE` of the spread from
+    the next; other sizes take ``eigh``. The value decreases
+    monotonically. Stops when a sweep no longer lowers the value at
+    working precision, or after :data:`SWEEP_CAP` sweeps.
 
     :param W: witness.
     :param phi0: starting vector on the m side, any nonzero norm.
@@ -245,11 +342,18 @@ def alternating_minimize(W: Witness,
 
 
 def _min_eigvals(W: Witness, Phi: np.ndarray) -> np.ndarray:
-    """Eliminated objective g(phi) = min eigenvalue of M(phi phi^dag), per row."""
+    """Eliminated objective g(phi) = min eigenvalue of M(phi phi^dag), per row.
+
+    For n = 3 the values-only closed form of :func:`_smallest3`, which
+    leaves to ``eigvalsh`` the rows whose smallest eigenvalue lies within
+    :data:`GAP_SHARE` of the spread from the next; ``eigvalsh`` for
+    other n.
+    """
     g = np.empty(Phi.shape[0])
     for b in range(0, Phi.shape[0], EVAL_CHUNK):
         rows = slice(b, b + EVAL_CHUNK)
-        g[rows] = np.linalg.eigvalsh(apply_map(W, _outer(Phi[rows])))[:, 0]
+        H = apply_map(W, _outer(Phi[rows]))
+        g[rows] = _smallest3(H, False) if H.shape[-1] == 3 else np.linalg.eigvalsh(H)[:, 0]
     return g
 
 
@@ -302,7 +406,10 @@ def refine_zero(W: Witness,
 
     Minimizes the eliminated objective g(phi) = min-eigenvalue of
     M(phi phi^dag) (the optimal chi is the corresponding eigenvector, so
-    f = g at the optimum) by coordinate polling over the tangent frame of
+    f = g at the optimum; both in the closed form of :func:`_smallest3`
+    for n = 3, which leaves to LAPACK the matrices whose smallest
+    eigenvalue lies within :data:`GAP_SHARE` of the spread from the
+    next) by coordinate polling over the tangent frame of
     phi with a geometrically shrinking step, from :data:`REFINE_H0` down
     to :data:`REFINE_MIN_H` within :data:`REFINE_BUDGET` evaluations.
     Gradient and Newton steps degenerate in the quartically flat valleys

@@ -154,6 +154,35 @@ def test_section_tangent_requires_3x3():
     assert not os.path.exists("/tmp/never-written.csv")
 
 
+@pytest.mark.parametrize("kind", ["A", "B", "C", "E"])
+def test_section_on_normalized_2x4_map(tmp_path, kind):
+    """A normalized 2 x 4 map scales every trace by one constant
+    (Tr M(I/2) = sqrt 2), and its image plane is scanned as it is."""
+    norm = tmp_path / "norm.json"
+    assert run_cli("normalize", "--builtin", "horodecki-2x4",
+                   "--output", str(norm)).returncode == 0
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(json.loads(norm.read_text())["witness"]))
+    out = tmp_path / "s.csv"
+    proc = run_cli("section", "--input", str(w), "--type", kind,
+                   "--samples", "24", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {label for _, _, label in rows} == {"source", "image_of_source", "image_plane"}
+    assert all(0.0 < float(r) < np.inf for _, r, _ in rows)
+
+
+def test_section_exit_4_on_non_trace_preserving_map(tmp_path):
+    """The unnormalized horodecki-2x4 map does not keep the trace of the
+    plane constant: its image plane is no scaled state section."""
+    out = tmp_path / "s.csv"
+    proc = run_cli("section", "--builtin", "horodecki-2x4", "--type", "A",
+                   "--samples", "24", "--output", str(out))
+    assert proc.returncode == 4
+    assert "constant positive trace" in proc.stderr
+    assert not out.exists()
+
+
 def test_section_f_default_requires_dim_3(tmp_path):
     out = tmp_path / "f.csv"
     proc = run_cli("section", "--builtin", "identity", "--dim", "2", "--type", "F",

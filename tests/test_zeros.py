@@ -230,6 +230,83 @@ def test_builtins_certified_extremal_by_own_zeros(witness, starts, seed, rank):
 
 
 # ---------------------------------------------------------------------------
+# Closed-form 3 x 3 smallest eigenpair against LAPACK.
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _with_spectra(rng, spectra):
+    """U diag(s) U^dag, one random unitary U per row of ``spectra``."""
+    Z = rng.normal(size=(len(spectra), 3, 3)) + 1j * rng.normal(size=(len(spectra), 3, 3))
+    U = np.linalg.qr(Z)[0]
+    return np.einsum("kij,kj,klj->kil", U, spectra, U.conj())
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(60)
+    Z = rng.normal(size=(4000, 3, 3)) + 1j * rng.normal(size=(4000, 3, 3))
+    random = (Z + Z.conj().swapaxes(-1, -2)) / 2
+    cases = {"random": random}
+    low = rng.normal(size=300)
+    spread = rng.uniform(0.5, 2.0, size=300)
+    # The smallest eigenvalue near the middle one, then the two larger
+    # ones near each other (as at every Choi-Lam zero, spectrum 0, 1/2, 1/2).
+    for gap in (1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9, 0.0):
+        cases[f"low gap {gap:g}"] = _with_spectra(
+            rng, np.stack([low, low + gap * spread, low + spread], axis=1))
+        cases[f"high gap {gap:g}"] = _with_spectra(
+            rng, np.stack([low, low + (1.0 - gap) * spread, low + spread], axis=1))
+    cases["c I"] = rng.normal(size=(50, 1, 1)) * np.eye(3)
+    cases["-I"] = -np.eye(3)[None]
+    cases["diagonal"] = rng.normal(size=(200, 3, 1)) * np.eye(3)
+    cases["real"] = random[:500].real
+    for e in (40, -40, 400, -400):
+        cases[f"scale 2^{e}"] = random[500:1000] * 2.0 ** e
+    P = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    cases["identity M(phi phi^dag)"] = apply_map(identity_witness(3), zeros_mod._outer(P))
+    return {name: H.astype(complex) for name, H in cases.items()}
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_smallest3_matches_lapack(name):
+    """Within 8 eps ||H|| of eigh, unit vectors, finite everywhere, and a
+    one-matrix call gives the stacked row bit for bit."""
+    H = KERNEL_CASES[name]
+    lam, V = zeros_mod._smallest3(H, True)
+    values = zeros_mod._smallest3(H, False)
+    assert np.isfinite(lam).all() and np.isfinite(V).all() and np.isfinite(values).all()
+    bound = 8 * EPS * np.sqrt((np.abs(H) ** 2).sum(axis=(1, 2)))
+    reference = np.linalg.eigh(H)[0][:, 0]
+    assert np.all(np.abs(lam - reference) <= bound)
+    assert np.all(np.abs(values - reference) <= bound)
+    residual = np.linalg.norm(np.einsum("kij,kj->ki", H, V) - lam[:, None] * V, axis=1)
+    assert np.all(residual <= bound)
+    assert np.all(np.abs(np.linalg.norm(V, axis=1) - 1.0) <= 8 * EPS)
+    for i in range(len(H)):
+        one_lam, one_V = zeros_mod._smallest3(H[i:i + 1], True)
+        assert one_lam[0] == lam[i] and np.array_equal(one_V[0], V[i])
+        assert zeros_mod._smallest3(H[i:i + 1], False)[0] == values[i]
+
+
+@pytest.mark.parametrize("make", [identity_witness, transposition_witness])
+def test_smallest3_defers_rank_one_images_to_lapack(make):
+    """M(phi phi^dag) of the identity and the transposition has a double
+    zero eigenvalue: every row goes to LAPACK, so their searches keep
+    LAPACK's bits."""
+    rng = np.random.default_rng(61)
+    P = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    H = apply_map(make(3), zeros_mod._outer(P))
+    lam, V = zeros_mod._smallest3(H, True)
+    w, U = np.linalg.eigh(H)
+    assert np.array_equal(lam, w[:, 0]) and np.array_equal(V, U[:, :, 0])
+    assert np.array_equal(zeros_mod._smallest3(H, False), np.linalg.eigvalsh(H)[:, 0])
+
+
+# ---------------------------------------------------------------------------
 # Stacked kernels: every start of a stack gets the result it gets alone.
 # ---------------------------------------------------------------------------
 
@@ -246,6 +323,10 @@ def _canonical(v):
 
 
 def _min_vec(H):
+    """Minimal eigenvector of one matrix: the search's closed-form kernel
+    on a one-matrix stack for 3 x 3, LAPACK otherwise."""
+    if H.shape[-1] == 3:
+        return zeros_mod._smallest3(H[None], True)[1][0]
     return np.linalg.eigh(H)[1][:, 0]
 
 
@@ -301,7 +382,10 @@ def _sequential_refine(W, phi, h0=0.05, min_h=1e-8, budget=6000):
     phi = phi / np.linalg.norm(phi)
 
     def g_of(p):
-        return np.linalg.eigvalsh(apply_map(W, np.outer(p, p.conj())))[0]
+        H = apply_map(W, np.outer(p, p.conj()))
+        if W.n == 3:
+            return zeros_mod._smallest3(H[None], False)[0]
+        return np.linalg.eigvalsh(H)[0]
 
     best, h, evals = g_of(phi), h0, 0
     while h > min_h and evals < budget:
