@@ -177,12 +177,16 @@ def biquadratic_form(W: Witness, phi: np.ndarray,
     """
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    Y = apply_map(W, phi[..., :, None] * phi.conj()[..., None, :])
+    val = _expectation(apply_map(W, phi[..., :, None] * phi.conj()[..., None, :]), chi)
+    return float(val) if val.ndim == 0 else val
+
+
+def _expectation(Y: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Real part of chi^dag (Y chi), elementwise over leading stack axes."""
     # Two steps: the one-step three-operand einsum rounds a row of a
     # stack of one differently for n = 2.
     Y_chi = np.einsum("...jl,...l->...j", Y, chi)
-    val = np.einsum("...j,...j->...", chi.conj(), Y_chi).real
-    return float(val) if val.ndim == 0 else val
+    return np.einsum("...j,...j->...", chi.conj(), Y_chi).real
 
 
 def map_matrix(W: Witness) -> MapMatrix:

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
+from .bipartite import (Witness, _expectation, apply_map, apply_transposed_map,
+                        biquadratic_form)
 from .hermitian import hermitian_basis, hs_norm
 
 __all__ = [
@@ -290,6 +291,15 @@ def _tangent_frame(V: np.ndarray) -> np.ndarray:
     return q[..., :, 1:k]
 
 
+def _chi_step(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal chi of each row of Phi, the minimal eigenvector of
+    Y = M(phi phi^dag), and f_A = chi^dag Y chi there from the same Y,
+    rounded as :func:`biquadratic_form` rounds it."""
+    Y = apply_map(W, _outer(Phi))
+    Chi = _min_eigvec(Y)
+    return Chi, _expectation(Y, Chi)
+
+
 def _alternate(W: Witness,
                Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked alternating minimization; each start keeps its own stop rule.
@@ -300,15 +310,13 @@ def _alternate(W: Witness,
     :return: (Phi, Chi, values); vectors unit norm, phases not canonical.
     """
     Phi = _normalized(np.asarray(Phi, dtype=complex))
-    Chi = _min_eigvec(apply_map(W, _outer(Phi)))
-    values = biquadratic_form(W, Phi, Chi)
+    Chi, values = _chi_step(W, Phi)
     active = np.arange(Phi.shape[0])
     for _ in range(SWEEP_CAP):
         if not active.size:
             break
         phi = _min_eigvec(apply_transposed_map(W, _outer(Chi[active])))
-        chi = _min_eigvec(apply_map(W, _outer(phi)))
-        new = biquadratic_form(W, phi, chi)
+        chi, new = _chi_step(W, phi)
         Phi[active] = phi
         Chi[active] = chi
         old = values[active]
@@ -395,8 +403,7 @@ def _refine(W: Witness,
         best[active[rows]] = vals[rows, first[rows]]
         h[active[~improved]] *= 0.5
         active = active[(h[active] > min_h) & (evals[active] < budget)]
-    Chi = _min_eigvec(apply_map(W, _outer(Phi)))
-    values = biquadratic_form(W, Phi, Chi)
+    Chi, values = _chi_step(W, Phi)
     return _canonical_phase(Phi), _canonical_phase(Chi), values
 
 
