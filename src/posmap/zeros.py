@@ -300,14 +300,19 @@ def _chi_step(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Chi, _expectation(Y, Chi)
 
 
-def _alternate(W: Witness,
-               Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _alternate(W: Witness, Phi: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked alternating minimization; each start keeps its own stop rule.
 
     A start stops once a sweep no longer lowers its value, or after
-    :data:`SWEEP_CAP` sweeps.
+    :data:`SWEEP_CAP` sweeps. A start still lowering its value at the cap
+    is creeping: it has not reached a minimum, as in the quartically flat
+    valleys around quartic zeros, where the alternation converges
+    sublinearly.
 
-    :return: (Phi, Chi, values); vectors unit norm, phases not canonical.
+    :return: (Phi, Chi, values, creeping); vectors unit norm, phases not
+        canonical, ``creeping`` a boolean mask of the starts that ran
+        :data:`SWEEP_CAP` sweeps without stopping.
     """
     Phi = _normalized(np.asarray(Phi, dtype=complex))
     Chi, values = _chi_step(W, Phi)
@@ -324,7 +329,9 @@ def _alternate(W: Witness,
         # A stopping start keeps its old, lower value; the others take new.
         values[active] = np.where(stop, old, new)
         active = active[~stop]
-    return Phi, Chi, values
+    creeping = np.zeros(Phi.shape[0], dtype=bool)
+    creeping[active] = True
+    return Phi, Chi, values, creeping
 
 
 def alternating_minimize(W: Witness,
@@ -344,7 +351,7 @@ def alternating_minimize(W: Witness,
     :param phi0: starting vector on the m side, any nonzero norm.
     :return: (phi, chi, value) with unit vectors, phases canonicalized.
     """
-    Phi, Chi, values = _alternate(W, np.asarray(phi0, dtype=complex)[None])
+    Phi, Chi, values, _ = _alternate(W, np.asarray(phi0, dtype=complex)[None])
     return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
             float(values[0]))
 
@@ -365,8 +372,8 @@ def _min_eigvals(W: Witness, Phi: np.ndarray) -> np.ndarray:
     return g
 
 
-def _refine(W: Witness,
-            Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine(W: Witness, Phi: np.ndarray, poll: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked tangent pattern search; each start polls on its own.
 
     Each start polls from the step :data:`REFINE_H0` until its step falls
@@ -375,18 +382,22 @@ def _refine(W: Witness,
     active start at once and moves each start to its first improving
     candidate in polling order (frame column major, then +h, -h, +ih,
     -ih), charging the evaluations a sequential poll makes up to that
-    candidate.
+    candidate. Only the rows of the boolean mask ``poll`` poll (all rows
+    without it); every row then takes chi as the minimal eigenvector of
+    M(phi phi^dag), its value there and canonical phases.
 
     :return: (Phi, Chi, values), unit vectors with canonical phases.
     """
     Phi = _normalized(np.asarray(Phi, dtype=complex))
     count, m = Phi.shape
     polls = 4 * (m - 1)
-    best = _min_eigvals(W, Phi)
+    poll = np.ones(count, dtype=bool) if poll is None else poll
+    best = np.empty(count)
+    best[poll] = _min_eigvals(W, Phi[poll])
     min_h, budget = REFINE_MIN_H, REFINE_BUDGET
     h = np.full(count, float(REFINE_H0))
     evals = np.zeros(count, dtype=int)
-    active = np.flatnonzero((h > min_h) & (evals < budget))
+    active = np.flatnonzero(poll & (h > min_h) & (evals < budget))
     while active.size:
         phi = Phi[active]
         frame = _tangent_frame(phi).swapaxes(-1, -2)
@@ -684,8 +695,12 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
 
     Runs the alternation of :func:`alternating_minimize` (at most
     :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors,
-    polishes each result by the pattern search of :func:`refine_zero`,
-    keeps results with value at most ``tol * ||A||``, merges
+    polishes the starts still lowering their value at the cap by the
+    pattern search of :func:`refine_zero` (a start that stopped by the
+    alternation's own rule, where a sweep no longer lowers its value,
+    would gain nothing from the polish but rounding), takes chi as the minimal
+    eigenvector at every result, keeps results with value at most
+    ``tol * ||A||``, merges
     candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
     1 - :data:`DEDUP_TOL` (keeping the lowest value), and classifies each
     survivor, certifying its continuum flag from its own reduced quartic
@@ -711,10 +726,12 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     rng = np.random.default_rng(seed)
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
-    Phi, _, _ = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
-    # Alternation alone creeps sublinearly into quartic valleys;
-    # polish to working precision before accepting or rejecting.
-    Phi, Chi, values = _refine(W, _canonical_phase(Phi))
+    Phi, _, _, creeping = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
+    # Alternation alone creeps sublinearly into quartic valleys: polish
+    # the starts it left creeping to working precision before accepting
+    # or rejecting. The others stopped where a sweep no longer lowers
+    # the value.
+    Phi, Chi, values = _refine(W, _canonical_phase(Phi), creeping)
     # A negative minimum is no zero: the input is not a witness.
     if starts and values.min() < -tol * scale:
         low = int(np.argmin(values))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
+from posmap.bipartite import (Witness, apply_map, apply_transposed_map, biquadratic_form,
+                              tensor)
 from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
                             horodecki_2x4_witness, identity_witness,
                             transposition_witness)
@@ -336,15 +337,18 @@ def _sequential_alternation(W, phi, max_iter, tol):
     phi = phi / np.linalg.norm(phi)
     chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
     value = biquadratic_form(W, phi, chi)
+    stopped = False
     for _ in range(max_iter):
         phi = _min_vec(apply_transposed_map(W, np.outer(chi, chi.conj())))
         chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
         new_value = biquadratic_form(W, phi, chi)
         if value - new_value <= tol:
             value = min(value, new_value)
+            stopped = True
             break
         value = new_value
-    return _canonical(phi), _canonical(chi), value
+    # the last item: max_iter sweeps ran without stopping (creeping)
+    return _canonical(phi), _canonical(chi), value, not stopped
 
 
 def _sequential_spectrum(W, phi, chi, h=1e-4):
@@ -420,8 +424,9 @@ def test_stacked_alternation_matches_single_starts(name, max_iter, tol, monkeypa
     W = WITNESSES[name]()
     starts = _starts(W, 12, 50)
     monkeypatch.setattr(zeros_mod, "SWEEP_CAP", max_iter)
-    Phi, Chi, values = zeros_mod._alternate(W, starts)
-    stacked = (zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values)
+    Phi, Chi, values, creeping = zeros_mod._alternate(W, starts)
+    stacked = (zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values,
+               creeping)
     _assert_rows_equal(stacked, [alternating_minimize(W, s) for s in starts])
     _assert_rows_equal(stacked, [_sequential_alternation(W, s, max_iter, tol)
                                  for s in starts])
@@ -439,6 +444,67 @@ def test_stacked_refine_matches_single_starts(name, budget, monkeypatch):
     stacked = zeros_mod._refine(W, np.array(phis))
     _assert_rows_equal(stacked, [refine_zero(W, p) for p in phis])
     _assert_rows_equal(stacked, [_sequential_refine(W, p, budget=budget) for p in phis])
+
+
+def _interior_witness(seed):
+    """lam I/9 + (1 - lam) A_cp, A_cp a random trace-one sum of tensor
+    products of PSD factors: f >= lam/9 > 0, so the witness has no zeros."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((9, 9), dtype=complex)
+    for _ in range(4):
+        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A += tensor(B @ B.conj().T, C @ C.conj().T)
+    lam = rng.uniform(0.05, 0.9)
+    return Witness(3, 3, lam * np.eye(9) / 9 + (1 - lam) * A / np.trace(A).real)
+
+
+POLISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witness(s))
+                                  for s in (3, 4)})
+
+
+def _alternated(W, count, seed):
+    """The alternation's results as find_zeros hands them to the polish."""
+    Phi, _, _, creeping = zeros_mod._alternate(W, _starts(W, count, seed))
+    return zeros_mod._canonical_phase(Phi), creeping
+
+
+@pytest.mark.parametrize("name", POLISH_CASES)
+def test_polish_skips_finished_starts(name):
+    """A start that stopped by the alternation's own rule takes only the
+    polish's epilogue; polishing it anyway moves its value by rounding
+    alone and flips no acceptance at find_zeros' default tol."""
+    W = POLISH_CASES[name]()
+    Phi, creeping = _alternated(W, 60, 54)
+    finished = ~creeping
+    assert finished.sum() >= 30
+    masked = zeros_mod._refine(W, Phi, creeping)
+    phis = [p / np.linalg.norm(p) for p in Phi[finished]]
+    chis = [_min_vec(apply_map(W, np.outer(p, p.conj()))) for p in phis]
+    epilogue = (zeros_mod._canonical_phase(np.array(phis)),
+                zeros_mod._canonical_phase(np.array(chis)),
+                [biquadratic_form(W, p, c) for p, c in zip(phis, chis)])
+    for part, rows in zip(epilogue, masked):
+        assert np.array_equal(rows[finished], part)
+    polished = zeros_mod._refine(W, Phi)[2][finished]
+    scale = hs_norm(W.matrix)
+    assert np.abs(polished - masked[2][finished]).max() <= 1e-14 * scale
+    tol = 1e-9 * scale
+    for test in (lambda v: np.abs(v) <= tol, lambda v: v < -tol):
+        assert np.array_equal(test(polished), test(masked[2][finished]))
+
+
+@pytest.mark.parametrize("name, cap", [("choi-lam", 200), ("horodecki-2x4", 60)])
+def test_polish_of_creeping_starts_matches_full_polish(name, cap, monkeypatch):
+    """The starts still lowering their value at the sweep cap get the
+    polish they get when every start is polished, bit for bit."""
+    W = WITNESSES[name]()
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", cap)
+    Phi, creeping = _alternated(W, 60, 55)
+    assert 0 < creeping.sum() < len(Phi)
+    masked = zeros_mod._refine(W, Phi, creeping)
+    for rows, full in zip(masked, zeros_mod._refine(W, Phi)):
+        assert np.array_equal(rows[creeping], full[creeping])
 
 
 @pytest.mark.parametrize("name", WITNESSES)
