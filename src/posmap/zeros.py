@@ -698,10 +698,9 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     polishes the starts still lowering their value at the cap by the
     pattern search of :func:`refine_zero` (a start that stopped by the
     alternation's own rule, where a sweep no longer lowers its value,
-    would gain nothing from the polish but rounding), takes chi as the minimal
-    eigenvector at every result, keeps results with value at most
-    ``tol * ||A||``, merges
-    candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
+    would gain nothing from the polish but rounding), takes chi as the
+    minimal eigenvector at every result, keeps results with value at
+    most ``tol * ||A||``, merges candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
     1 - :data:`DEDUP_TOL` (keeping the lowest value), and classifies each
     survivor, certifying its continuum flag from its own reduced quartic
     (:class:`ProductZero`), so the flag does not depend on the other

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from posmap.bipartite import (Witness, apply_map, apply_transposed_map, biquadratic_form,
-                              tensor)
+from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
 from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
                             horodecki_2x4_witness, identity_witness,
                             transposition_witness)
@@ -11,6 +10,8 @@ import posmap.zeros as zeros_mod
 from posmap.zeros import (NotBlockPositiveError, alternating_minimize,
                           classify_zero, constraint_rank, constraint_rows,
                           find_zeros, refine_zero)
+
+from test_normalize import _random_cp_witness
 
 PRINTED_ZEROS = ((0, 2), (1, 0), (2, 1))  # (phi index, chi index)
 
@@ -447,16 +448,12 @@ def test_stacked_refine_matches_single_starts(name, budget, monkeypatch):
 
 
 def _interior_witness(seed):
-    """lam I/9 + (1 - lam) A_cp, A_cp a random trace-one sum of tensor
-    products of PSD factors: f >= lam/9 > 0, so the witness has no zeros."""
+    """lam I/9 + (1 - lam) A_cp with A_cp a random trace-one completely
+    positive witness: f >= lam/9 > 0, so the witness has no zeros."""
     rng = np.random.default_rng(seed)
-    A = np.zeros((9, 9), dtype=complex)
-    for _ in range(4):
-        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        A += tensor(B @ B.conj().T, C @ C.conj().T)
+    A = _random_cp_witness(rng, 3, 3).matrix
     lam = rng.uniform(0.05, 0.9)
-    return Witness(3, 3, lam * np.eye(9) / 9 + (1 - lam) * A / np.trace(A).real)
+    return Witness(3, 3, lam * np.eye(9) / 9 + (1 - lam) * A)
 
 
 POLISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witness(s))
