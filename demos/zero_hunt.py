@@ -24,14 +24,14 @@ def banner(text):
 W = posmap.choi_lam_witness()
 e = np.eye(3)
 
-banner("Alternation stalls, pattern-search refinement lands")
+banner("Alternation creeps, a Newton finish lands")
 rng = np.random.default_rng(5)
 phi0 = e[1] + 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
 phi0 /= np.linalg.norm(phi0)
 phi_a, chi_a, f_a = posmap.alternating_minimize(W, phi0)
-print("after 200 alternating sweeps: f =", f_a)
+print(f"after {posmap.zeros.SWEEP_CAP} alternating sweeps: f =", f_a)
 phi_r, chi_r, f_r = posmap.refine_zero(W, phi_a)
-print("after pattern-search refinement: f =", f_r)
+print("after the Newton finish: f =", f_r)
 print("overlap with (e2, e1):",
       abs(np.vdot(phi_r, e[1])), abs(np.vdot(chi_r, e[0])))
 

@@ -5,7 +5,13 @@ f_A(phi, chi) = (phi (x) chi)^dag A (phi (x) chi) = 0 while f_A >= 0 in
 a neighborhood (for a witness on the boundary of the positive cone the
 inequality is global). Since f_A(phi, chi) = chi^dag M(phi phi^dag) chi,
 alternating minimization over phi and chi moves downhill by solving a
-minimal-eigenvector problem in each half step.
+minimal-eigenvector problem in each half step. In the quartically flat
+valleys around quartic zeros the alternation converges sublinearly; the
+starts it leaves creeping are finished by a Riemannian Newton descent on
+the product of the unit spheres, whose gradient and Hessian are closed
+forms of the same tangent variations that classify the zeros. Along a
+quartic valley f = c d^4 the Newton step is d / 3, so its triple lands
+on the minimum.
 
 Zeros are classified by the spectrum of the Hessian of f_A restricted to
 the tangent space of the product manifold (phases and norms of phi and
@@ -115,15 +121,12 @@ class NotBlockPositiveError(ValueError):
         )
 
 
-# Pattern-search refinement: initial poll step, the step at which it
-# stops, its cap on objective evaluations, and the poll directions of one
-# frame column in polling order.
-REFINE_H0 = 0.05
-REFINE_MIN_H = 1e-8
-REFINE_BUDGET = 6000
-POLL_STEPS = np.array([1.0, -1.0, 1j, -1j])
 # Sweep cap of the alternation.
-SWEEP_CAP = 200
+SWEEP_CAP = 50
+# Step cap of the Newton finish, and the floor of the magnitudes of its
+# Hessian eigenvalues, relative to the largest.
+NEWTON_CAP = 20
+NEWTON_FLOOR = 1e-14
 # Largest |f_A|, relative to ||A||, that classify_zero accepts as a zero.
 ZERO_TOL = 1e-9
 # Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
@@ -134,10 +137,8 @@ CONTINUUM_TOL = 1e-6
 # Singular values above this share of the largest count toward a
 # constraint rank.
 RANK_TOL = 1e-10
-# Row blocks that bound the working set of the stacked kernels: vectors
-# per stacked eigenvalue evaluation, rows per block of the pairwise
-# overlap matrix, and zeros per stacked Hessian.
-EVAL_CHUNK = 512
+# Row blocks that bound the working set of the stacked kernels: rows per
+# block of the pairwise overlap matrix, and zeros per stacked Hessian.
 OVERLAP_BLOCK = 64
 CLASSIFY_CHUNK = 64
 # Least share of the spread of a 3 x 3 spectrum that the gap between the
@@ -152,8 +153,8 @@ GAP_SHARE = 0.1
 # result does not depend on the other rows of its stack: the map
 # kernels' GEMM also serves a one-row stack, the closed form of
 # _smallest3 for the smallest eigenpair of 3 x 3 matrices is
-# elementwise, and stacked einsum, qr, eigh and eigvalsh (for other
-# sizes, and for the rows that _smallest3 leaves to LAPACK by
+# elementwise, and stacked einsum, qr and eigh (for tangent Hessians,
+# for other sizes, and for the rows that _smallest3 leaves to LAPACK by
 # GAP_SHARE) reproduce their per-matrix results.
 
 
@@ -178,10 +179,10 @@ def _normalized(V: np.ndarray) -> np.ndarray:
     return V / _norms(V)[..., None]
 
 
-def _smallest3(H: np.ndarray, vectors: bool):
-    """Smallest eigenvalue, and with ``vectors`` its unit eigenvector, of
-    each matrix of a stack of 3 x 3 Hermitian matrices, read from the
-    lower triangle as ``eigh`` reads it.
+def _smallest3(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue and its unit eigenvector of each matrix of a
+    stack of 3 x 3 Hermitian matrices, read from the lower triangle as
+    ``eigh`` reads it.
 
     Closed form (Smith 1961): with q = tr H / 3, p = ||H - q I||_F / sqrt 6
     and r = det(H - q I) / (2 p^3) the eigenvalues are
@@ -190,14 +191,12 @@ def _smallest3(H: np.ndarray, vectors: bool):
     H - lambda I, each orthogonal to every row. The smallest eigenvalue
     loses accuracy as eps * spread^2 / gap where it meets the middle one
     (r near 1), so rows whose gap is below :data:`GAP_SHARE` of the
-    spread go to ``eigh`` (``eigvalsh`` without vectors), as do rows
-    without a spread (p = 0, where the comparison is NaN) and rows whose
-    cross products all vanish. Every step is elementwise, and LAPACK on
-    a sub-stack matches LAPACK per matrix, so a row's result does not
-    depend on the rest of its stack.
+    spread go to ``eigh``, as do rows without a spread (p = 0, where the
+    comparison is NaN) and rows whose cross products all vanish. Every
+    step is elementwise, and LAPACK on a sub-stack matches LAPACK per
+    matrix, so a row's result does not depend on the rest of its stack.
 
-    :return: the eigenvalues, shape (K,), and with ``vectors`` the
-        eigenvectors, shape (K, 3).
+    :return: (eigenvalues, eigenvectors), shapes (K,) and (K, 3).
     """
     H = np.asarray(H, dtype=complex)
     count = H.shape[0]
@@ -239,11 +238,6 @@ def _smallest3(H: np.ndarray, vectors: bool):
     hi = 2.0 * p * np.cos(phi)
     good = -hi - 2.0 * lo >= GAP_SHARE * (hi - lo)
     lam = q + lo
-    if not vectors:
-        if not good.all():
-            bad = ~good
-            lam[bad] = np.linalg.eigvalsh(H[bad])[:, 0]
-        return lam
     C = adjugate(S - lo) * inv2
     N = C.real ** 2 + C.imag ** 2
     norms = N[:, 0] + N[:, 1] + N[:, 2]
@@ -264,7 +258,7 @@ def _min_eigvec(H: np.ndarray) -> np.ndarray:
     """Minimal unit eigenvectors of a stack: :func:`_smallest3` for 3 x 3,
     ``eigh`` for other sizes."""
     if H.shape[-1] == 3:
-        return _smallest3(H, True)[1]
+        return _smallest3(H)[1]
     return np.linalg.eigh(H)[1][..., 0]
 
 
@@ -308,7 +302,8 @@ def _alternate(W: Witness, Phi: np.ndarray
     :data:`SWEEP_CAP` sweeps. A start still lowering its value at the cap
     is creeping: it has not reached a minimum, as in the quartically flat
     valleys around quartic zeros, where the alternation converges
-    sublinearly.
+    sublinearly, and :func:`find_zeros` finishes it by Newton's method
+    (:func:`_newton`).
 
     :return: (Phi, Chi, values, creeping); vectors unit norm, phases not
         canonical, ``creeping`` a boolean mask of the starts that ran
@@ -354,93 +349,6 @@ def alternating_minimize(W: Witness,
     Phi, Chi, values, _ = _alternate(W, np.asarray(phi0, dtype=complex)[None])
     return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
             float(values[0]))
-
-
-def _min_eigvals(W: Witness, Phi: np.ndarray) -> np.ndarray:
-    """Eliminated objective g(phi) = min eigenvalue of M(phi phi^dag), per row.
-
-    For n = 3 the values-only closed form of :func:`_smallest3`, which
-    leaves to ``eigvalsh`` the rows whose smallest eigenvalue lies within
-    :data:`GAP_SHARE` of the spread from the next; ``eigvalsh`` for
-    other n.
-    """
-    g = np.empty(Phi.shape[0])
-    for b in range(0, Phi.shape[0], EVAL_CHUNK):
-        rows = slice(b, b + EVAL_CHUNK)
-        H = apply_map(W, _outer(Phi[rows]))
-        g[rows] = _smallest3(H, False) if H.shape[-1] == 3 else np.linalg.eigvalsh(H)[:, 0]
-    return g
-
-
-def _refine(W: Witness, Phi: np.ndarray, poll: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked tangent pattern search; each start polls on its own.
-
-    Each start polls from the step :data:`REFINE_H0` until its step falls
-    to :data:`REFINE_MIN_H` or it has spent :data:`REFINE_BUDGET`
-    evaluations. A poll round evaluates all 4(m - 1) candidates of every
-    active start at once and moves each start to its first improving
-    candidate in polling order (frame column major, then +h, -h, +ih,
-    -ih), charging the evaluations a sequential poll makes up to that
-    candidate. Only the rows of the boolean mask ``poll`` poll (all rows
-    without it); every row then takes chi as the minimal eigenvector of
-    M(phi phi^dag), its value there and canonical phases.
-
-    :return: (Phi, Chi, values), unit vectors with canonical phases.
-    """
-    Phi = _normalized(np.asarray(Phi, dtype=complex))
-    count, m = Phi.shape
-    polls = 4 * (m - 1)
-    poll = np.ones(count, dtype=bool) if poll is None else poll
-    best = np.empty(count)
-    best[poll] = _min_eigvals(W, Phi[poll])
-    min_h, budget = REFINE_MIN_H, REFINE_BUDGET
-    h = np.full(count, float(REFINE_H0))
-    evals = np.zeros(count, dtype=int)
-    active = np.flatnonzero(poll & (h > min_h) & (evals < budget))
-    while active.size:
-        phi = Phi[active]
-        frame = _tangent_frame(phi).swapaxes(-1, -2)
-        steps = h[active, None] * POLL_STEPS
-        cand = phi[:, None, None, :] + steps[:, None, :, None] * frame[:, :, None, :]
-        cand = _normalized(cand.reshape(-1, polls, m))
-        vals = _min_eigvals(W, cand.reshape(-1, m)).reshape(-1, polls)
-        better = vals < best[active, None]
-        improved = better.any(axis=1)
-        first = better.argmax(axis=1)
-        evals[active] += np.where(improved, first + 1, polls)
-        rows = np.flatnonzero(improved)
-        Phi[active[rows]] = cand[rows, first[rows]]
-        best[active[rows]] = vals[rows, first[rows]]
-        h[active[~improved]] *= 0.5
-        active = active[(h[active] > min_h) & (evals[active] < budget)]
-    Chi, values = _chi_step(W, Phi)
-    return _canonical_phase(Phi), _canonical_phase(Chi), values
-
-
-def refine_zero(W: Witness,
-                phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Polish a near-zero to working precision by tangent pattern search.
-
-    Minimizes the eliminated objective g(phi) = min-eigenvalue of
-    M(phi phi^dag) (the optimal chi is the corresponding eigenvector, so
-    f = g at the optimum; both in the closed form of :func:`_smallest3`
-    for n = 3, which leaves to LAPACK the matrices whose smallest
-    eigenvalue lies within :data:`GAP_SHARE` of the spread from the
-    next) by coordinate polling over the tangent frame of
-    phi with a geometrically shrinking step, from :data:`REFINE_H0` down
-    to :data:`REFINE_MIN_H` within :data:`REFINE_BUDGET` evaluations.
-    Gradient and Newton steps degenerate in the quartically flat valleys
-    around quartic zeros; the direct search does not, and descends until
-    the step or the eigenvalue differences reach working precision.
-
-    :param W: witness.
-    :param phi: approximate zero, m side (any nonzero norm); the chi
-        side is recomputed as the minimal eigenvector at the result.
-    :return: (phi, chi, value), unit vectors with canonical phases.
-    """
-    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None])
-    return Phi[0], Chi[0], float(values[0])
 
 
 def _variations(Phi: np.ndarray, Chi: np.ndarray
@@ -489,6 +397,102 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, D_phi: np.ndarray,
     S = gram + 2.0 * np.einsum("zkl,zpk,zql->zpq", cross, D_phi, D_chi)
     # Re(S + S^T) is symmetric to the last bit, as eigh assumes.
     return (S + S.swapaxes(-1, -2)).real
+
+
+def _newton(W: Witness, Phi: np.ndarray, Chi: np.ndarray, values: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked Riemannian Newton descent of f_A on the product of the unit
+    spheres; each row steps and stops on its own.
+
+    A row starts at phi, the minimal eigenvector chi of M(phi phi^dag)
+    and the value f there. In the tangent coordinates of
+    :func:`_variations` the gradient is g_p = 2 Re psi^dag A a_p, and the
+    Hessian is that of :func:`_hessian` minus 2 f I: a unit step along a
+    tangent direction pulls psi back by psi / 2 at second order, the
+    curvature of the two spheres. One ``eigh`` gives x = -H^-1 g, each
+    |lambda| floored at :data:`NEWTON_FLOOR` times the largest. A step
+    evaluates phi + x and phi + 3x, each normalized and taken with its
+    minimal eigenvector chi, and keeps the lower: along f = c d^4, the
+    valley of a quartic zero, the Newton step is d / 3, so 3x lands on
+    the minimum. A row stops once a step changes f by at most
+    4 eps ||A||, or after :data:`NEWTON_CAP` steps; a step that raises f
+    by more leaves the row in place and halves x for the next.
+
+    :return: (Phi, Chi, values, steps), vectors unit norm, phases not
+        canonical, ``steps`` the steps each row took.
+    """
+    count, m = Phi.shape
+    Phi, Chi, values = Phi.copy(), Chi.copy(), values.copy()
+    tol = 4.0 * np.finfo(float).eps * hs_norm(W.matrix)
+    shrink = np.ones(count)
+    steps = np.zeros(count, dtype=int)
+    active = np.arange(count)
+    for _ in range(NEWTON_CAP):
+        if not active.size:
+            break
+        phi, chi, f = Phi[active], Chi[active], values[active]
+        D_phi, D_chi, a = _variations(phi, chi)
+        psi = (phi[:, :, None] * chi[:, None, :]).reshape(len(active), -1)
+        # A is Hermitian, so psi^dag A a_p = conj(a_p^dag A psi).
+        grad = 2.0 * np.einsum("zpi,zi->zp", a.conj(),
+                               np.einsum("ij,zj->zi", W.matrix, psi)).real
+        H = _hessian(W, phi, chi, D_phi, D_chi, a) - 2.0 * f[:, None, None] * np.eye(a.shape[1])
+        lam, V = np.linalg.eigh(H)
+        size = np.abs(lam)
+        size = np.maximum(size, NEWTON_FLOOR * size.max(axis=1, keepdims=True))
+        x = -np.einsum("zpk,zk->zp", V, np.einsum("zpk,zp->zk", V, grad) / size)
+        move = np.einsum("zp,zpi->zi", shrink[active, None] * x, D_phi)
+        # Rows 2k and 2k + 1 are start k moved by x and by 3x.
+        cand = _normalized(phi[:, None] + np.array([1.0, 3.0])[:, None] * move[:, None])
+        cand = cand.reshape(-1, m)
+        chi_c, f_c = _chi_step(W, cand)
+        best = 2 * np.arange(len(active)) + (f_c[1::2] < f_c[0::2])
+        rise = f_c[best] - f
+        lower = rise < 0.0
+        moved, best = active[lower], best[lower]
+        Phi[moved], Chi[moved], values[moved] = cand[best], chi_c[best], f_c[best]
+        shrink[active] = np.where(rise > tol, 0.5 * shrink[active], 1.0)
+        steps[active] += 1
+        active = active[np.abs(rise) > tol]
+    return Phi, Chi, values, steps
+
+
+def _refine(W: Witness, Phi: np.ndarray, finish: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row takes chi as the minimal eigenvector of M(phi phi^dag)
+    and its value there; the rows of the boolean mask ``finish`` (all
+    rows without it) then take the Newton finish of :func:`_newton`.
+
+    :return: (Phi, Chi, values), unit vectors with canonical phases.
+    """
+    Phi = _normalized(np.asarray(Phi, dtype=complex))
+    Chi, values = _chi_step(W, Phi)
+    rows = slice(None) if finish is None else finish
+    Phi[rows], Chi[rows], values[rows], _ = _newton(W, Phi[rows], Chi[rows], values[rows])
+    return _canonical_phase(Phi), _canonical_phase(Chi), values
+
+
+def refine_zero(W: Witness,
+                phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Finish a near-zero to working precision by Newton's method.
+
+    Takes chi as the minimal eigenvector of M(phi phi^dag) (the closed
+    form of :func:`_smallest3` for n = 3, which leaves to LAPACK the
+    matrices whose smallest eigenvalue lies within :data:`GAP_SHARE` of
+    the spread from the next) and runs the Riemannian Newton descent of
+    :func:`_newton` on the product of the unit spheres: exact gradient
+    and tangent Hessian in closed form, with the spheres' curvature. The
+    Newton step does not degenerate in the quartically flat valleys
+    around quartic zeros: along f = c d^4 it is d / 3, and its triple,
+    which every step also tries, lands on the minimum.
+
+    :param W: witness.
+    :param phi: approximate zero, m side (any nonzero norm); the chi
+        side is recomputed as the minimal eigenvector at each step.
+    :return: (phi, chi, value), unit vectors with canonical phases.
+    """
+    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None])
+    return Phi[0], Chi[0], float(values[0])
 
 
 def _reduced_quartic(W: Witness, D_phi: np.ndarray, D_chi: np.ndarray,
@@ -695,13 +699,14 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
 
     Runs the alternation of :func:`alternating_minimize` (at most
     :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors,
-    polishes the starts still lowering their value at the cap by the
-    pattern search of :func:`refine_zero` (a start that stopped by the
+    finishes the starts still lowering their value at the cap by the
+    Newton descent of :func:`refine_zero` (a start that stopped by the
     alternation's own rule, where a sweep no longer lowers its value,
-    would gain nothing from the polish but rounding), takes chi as the
-    minimal eigenvector at every result, keeps results with value at
-    most ``tol * ||A||``, merges candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
-    1 - :data:`DEDUP_TOL` (keeping the lowest value), and classifies each
+    would gain nothing from it but rounding), takes chi as the minimal
+    eigenvector at every result, keeps results with value at most
+    ``tol * ||A||``, merges candidates whose overlap
+    |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds 1 - :data:`DEDUP_TOL`
+    (keeping the lowest value), and classifies each
     survivor, certifying its continuum flag from its own reduced quartic
     (:class:`ProductZero`), so the flag does not depend on the other
     zeros found. Every phase runs once over the stack of all starts, and
@@ -713,7 +718,7 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :param tol: relative acceptance threshold on the minimized value.
     :return: list of :class:`ProductZero`, values ascending.
     :raises ValueError: if ``starts`` is negative or W is zero.
-    :raises NotBlockPositiveError: if a polished start has a value below
+    :raises NotBlockPositiveError: if a finished start has a value below
         ``-tol * ||A||``; it carries the lowest such start.
     :raises ValueError: if a zero has three or more Hessian null
         directions and its reduced quartic does not vanish on the two
@@ -726,10 +731,9 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
     Phi, _, _, creeping = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
-    # Alternation alone creeps sublinearly into quartic valleys: polish
-    # the starts it left creeping to working precision before accepting
-    # or rejecting. The others stopped where a sweep no longer lowers
-    # the value.
+    # Alternation alone creeps sublinearly into quartic valleys: Newton
+    # finishes the starts it left creeping before accepting or rejecting.
+    # The others stopped where a sweep no longer lowers the value.
     Phi, Chi, values = _refine(W, _canonical_phase(Phi), creeping)
     # A negative minimum is no zero: the input is not a witness.
     if starts and values.min() < -tol * scale:

@@ -12,7 +12,6 @@ from posmap.bipartite import (Witness, apply_map, apply_transposed_map,
 from posmap.builtin import (horodecki_2x4_witness, identity_witness,
                             transposition_witness)
 from posmap.hermitian import hs_inner, hs_norm
-from posmap.zeros import EVAL_CHUNK
 
 
 def _random_witness(rng, m, n):
@@ -181,11 +180,11 @@ def test_map_kernels_match_einsum_reference(m, n, stack):
 
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2)])
 def test_map_kernels_row_independent_of_stack(m, n):
-    """A row gets the same bits alone and in stacks of 2, 3 and
-    EVAL_CHUNK + 1 rows, though BLAS runs a one-row product on gemv."""
+    """A row gets the same bits alone and in stacks of 2, 3 and 513
+    rows, though BLAS runs a one-row product on gemv."""
     rng = np.random.default_rng(23)
     W = _random_witness(rng, m, n)
-    count = EVAL_CHUNK + 1
+    count = 513
     X = _complex(rng, (count, m, m))
     Y = _complex(rng, (count, n, n))
     phi = _complex(rng, (count, m))

@@ -37,7 +37,7 @@ def test_alternating_minimize_decreases(monkeypatch):
 
 
 def test_refine_zero_from_perturbed_start():
-    """Pattern search drives a nearby start into a printed zero."""
+    """Newton's method drives a nearby start into a printed zero."""
     W = choi_lam_witness()
     e = np.eye(3)
     rng = np.random.default_rng(41)
@@ -49,7 +49,7 @@ def test_refine_zero_from_perturbed_start():
 
 
 def test_refine_zero_keeps_exact_zero():
-    # the valley is quartic, so the search may drift O(tol^(1/4)) in phi
+    # the valley is quartic, so the finish may drift O(tol^(1/4)) in phi
     W = choi_lam_witness()
     e = np.eye(3)
     phi, chi, value = refine_zero(W, e[0])
@@ -278,20 +278,17 @@ def test_smallest3_matches_lapack(name):
     """Within 8 eps ||H|| of eigh, unit vectors, finite everywhere, and a
     one-matrix call gives the stacked row bit for bit."""
     H = KERNEL_CASES[name]
-    lam, V = zeros_mod._smallest3(H, True)
-    values = zeros_mod._smallest3(H, False)
-    assert np.isfinite(lam).all() and np.isfinite(V).all() and np.isfinite(values).all()
+    lam, V = zeros_mod._smallest3(H)
+    assert np.isfinite(lam).all() and np.isfinite(V).all()
     bound = 8 * EPS * np.sqrt((np.abs(H) ** 2).sum(axis=(1, 2)))
     reference = np.linalg.eigh(H)[0][:, 0]
     assert np.all(np.abs(lam - reference) <= bound)
-    assert np.all(np.abs(values - reference) <= bound)
     residual = np.linalg.norm(np.einsum("kij,kj->ki", H, V) - lam[:, None] * V, axis=1)
     assert np.all(residual <= bound)
     assert np.all(np.abs(np.linalg.norm(V, axis=1) - 1.0) <= 8 * EPS)
     for i in range(len(H)):
-        one_lam, one_V = zeros_mod._smallest3(H[i:i + 1], True)
+        one_lam, one_V = zeros_mod._smallest3(H[i:i + 1])
         assert one_lam[0] == lam[i] and np.array_equal(one_V[0], V[i])
-        assert zeros_mod._smallest3(H[i:i + 1], False)[0] == values[i]
 
 
 @pytest.mark.parametrize("make", [identity_witness, transposition_witness])
@@ -302,10 +299,9 @@ def test_smallest3_defers_rank_one_images_to_lapack(make):
     rng = np.random.default_rng(61)
     P = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
     H = apply_map(make(3), zeros_mod._outer(P))
-    lam, V = zeros_mod._smallest3(H, True)
+    lam, V = zeros_mod._smallest3(H)
     w, U = np.linalg.eigh(H)
     assert np.array_equal(lam, w[:, 0]) and np.array_equal(V, U[:, :, 0])
-    assert np.array_equal(zeros_mod._smallest3(H, False), np.linalg.eigvalsh(H)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def _min_vec(H):
     """Minimal eigenvector of one matrix: the search's closed-form kernel
     on a one-matrix stack for 3 x 3, LAPACK otherwise."""
     if H.shape[-1] == 3:
-        return zeros_mod._smallest3(H[None], True)[1][0]
+        return zeros_mod._smallest3(H[None])[1][0]
     return np.linalg.eigh(H)[1][:, 0]
 
 
@@ -381,38 +377,6 @@ def _sequential_spectrum(W, phi, chi, h=1e-4):
     return np.linalg.eigvalsh((H + H.T) / 2.0)
 
 
-def _sequential_refine(W, phi, h0=0.05, min_h=1e-8, budget=6000):
-    """One-start first-improvement pattern search, polled candidate by candidate."""
-    phi = np.asarray(phi, dtype=complex)
-    phi = phi / np.linalg.norm(phi)
-
-    def g_of(p):
-        H = apply_map(W, np.outer(p, p.conj()))
-        if W.n == 3:
-            return zeros_mod._smallest3(H[None], False)[0]
-        return np.linalg.eigvalsh(H)[0]
-
-    best, h, evals = g_of(phi), h0, 0
-    while h > min_h and evals < budget:
-        frame = np.linalg.qr(np.column_stack([phi, np.eye(W.m)]))[0][:, 1:]
-        improved = False
-        for col in range(W.m - 1):
-            for comp in (1.0, -1.0, 1j, -1j):
-                cand = phi + (h * comp) * frame[:, col]
-                cand = cand / np.linalg.norm(cand)
-                val = g_of(cand)
-                evals += 1
-                if val < best:
-                    best, phi, improved = val, cand, True
-                    break
-            if improved:
-                break
-        if not improved:
-            h *= 0.5
-    chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
-    return _canonical(phi), _canonical(chi), biquadratic_form(W, phi, chi)
-
-
 def _assert_rows_equal(stacked, singles):
     for i, single in enumerate(singles):
         for part, row in zip(single, stacked):
@@ -434,17 +398,15 @@ def test_stacked_alternation_matches_single_starts(name, max_iter, tol, monkeypa
 
 
 @pytest.mark.parametrize("name", WITNESSES)
-@pytest.mark.parametrize("budget", [6000, 20])
-def test_stacked_refine_matches_single_starts(name, budget, monkeypatch):
-    """Batched polling charges a start exactly the evaluations of a
-    sequential first-improvement poll: at budget 20 the search stops
-    after the same poll round, so the results agree bit for bit."""
+@pytest.mark.parametrize("cap", [20, 1])
+def test_stacked_refine_matches_single_starts(name, cap, monkeypatch):
+    """Every start of a stacked Newton finish gets the bits it gets alone,
+    also when the step cap stops the finish early."""
     W = WITNESSES[name]()
-    phis = list(_starts(W, 10, 51))   # far from zeros: most polls improve
-    monkeypatch.setattr(zeros_mod, "REFINE_BUDGET", budget)
+    phis = list(_starts(W, 10, 51))   # far from zeros: rows stop after different steps
+    monkeypatch.setattr(zeros_mod, "NEWTON_CAP", cap)
     stacked = zeros_mod._refine(W, np.array(phis))
     _assert_rows_equal(stacked, [refine_zero(W, p) for p in phis])
-    _assert_rows_equal(stacked, [_sequential_refine(W, p, budget=budget) for p in phis])
 
 
 def _interior_witness(seed):
@@ -456,23 +418,23 @@ def _interior_witness(seed):
     return Witness(3, 3, lam * np.eye(9) / 9 + (1 - lam) * A)
 
 
-POLISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witness(s))
+FINISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witness(s))
                                   for s in (3, 4)})
 
 
 def _alternated(W, count, seed):
-    """The alternation's results as find_zeros hands them to the polish."""
+    """The alternation's results as find_zeros hands them to the finish."""
     Phi, _, _, creeping = zeros_mod._alternate(W, _starts(W, count, seed))
     return zeros_mod._canonical_phase(Phi), creeping
 
 
-@pytest.mark.parametrize("name", POLISH_CASES)
+@pytest.mark.parametrize("name", FINISH_CASES)
 def test_polish_skips_finished_starts(name):
     """A start that stopped by the alternation's own rule takes only the
-    polish's epilogue; polishing it anyway moves its value by rounding
-    alone and flips no acceptance at find_zeros' default tol."""
-    W = POLISH_CASES[name]()
-    Phi, creeping = _alternated(W, 60, 54)
+    chi step of the Newton finish; finishing it anyway moves its value by
+    rounding alone and flips no acceptance at find_zeros' default tol."""
+    W = FINISH_CASES[name]()
+    Phi, creeping = _alternated(W, 100, 54)
     finished = ~creeping
     assert finished.sum() >= 30
     masked = zeros_mod._refine(W, Phi, creeping)
@@ -494,7 +456,7 @@ def test_polish_skips_finished_starts(name):
 @pytest.mark.parametrize("name, cap", [("choi-lam", 200), ("horodecki-2x4", 60)])
 def test_polish_of_creeping_starts_matches_full_polish(name, cap, monkeypatch):
     """The starts still lowering their value at the sweep cap get the
-    polish they get when every start is polished, bit for bit."""
+    Newton finish they get when every start is finished, bit for bit."""
     W = WITNESSES[name]()
     monkeypatch.setattr(zeros_mod, "SWEEP_CAP", cap)
     Phi, creeping = _alternated(W, 60, 55)
@@ -502,6 +464,52 @@ def test_polish_of_creeping_starts_matches_full_polish(name, cap, monkeypatch):
     masked = zeros_mod._refine(W, Phi, creeping)
     for rows, full in zip(masked, zeros_mod._refine(W, Phi)):
         assert np.array_equal(rows[creeping], full[creeping])
+
+
+def _newton_steps(monkeypatch, W, starts, seed):
+    """The steps each creeping start of find_zeros takes in the finish."""
+    steps = []
+    newton = zeros_mod._newton
+
+    def spy(*args):
+        result = newton(*args)
+        steps.append(result[3])
+        return result
+
+    monkeypatch.setattr(zeros_mod, "_newton", spy)
+    find_zeros(W, starts, seed)
+    (counts,) = steps
+    return counts
+
+
+@pytest.mark.parametrize("seed", [42, 823278402])
+def test_newton_finish_stops_before_its_cap(seed, monkeypatch):
+    """Every creeping start of a choi-lam search ends its Newton finish
+    by the stop rule, not the step cap (job seed 823278402 is the one
+    whose start the former pattern search walked for 6,000 evaluations)."""
+    steps = _newton_steps(monkeypatch, choi_lam_witness(), 500, seed)
+    assert steps.size >= 50
+    assert steps.max() < zeros_mod.NEWTON_CAP
+
+
+def test_newton_finish_converges_quadratically_at_positive_minima(monkeypatch):
+    """On an interior witness every start still creeps at 40 sweeps, and
+    Newton finishes each in at most 3 steps at the value that the
+    alternation reaches when it runs to its own stop. The minima are
+    positive, so this needs the spheres' curvature -2 f I in the
+    Hessian: without it the steps converge only linearly."""
+    W = _interior_witness(5)
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 200)
+    _, _, full, creeping = zeros_mod._alternate(W, _starts(W, 60, 54))
+    assert not creeping.any()
+    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 40)
+    Phi, creeping = _alternated(W, 60, 54)
+    assert creeping.all()
+    Phi = zeros_mod._normalized(Phi)
+    Chi, values = zeros_mod._chi_step(W, Phi)
+    _, _, values, steps = zeros_mod._newton(W, Phi, Chi, values)
+    assert steps.max() <= 3
+    assert np.abs(values - full).max() <= 1e-14 * hs_norm(W.matrix)
 
 
 @pytest.mark.parametrize("name", WITNESSES)
@@ -527,10 +535,9 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
 
 def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
-    # a coarse search: near-zeros, scattered along the continuum
-    monkeypatch.setattr(zeros_mod, "REFINE_MIN_H", 1e-6)
-    monkeypatch.setattr(zeros_mod, "REFINE_BUDGET", 400)
-    Phi, Chi, _ = zeros_mod._refine(W, _starts(W, 40, 53))
+    # the search's candidates: near-zeros, scattered along the continuum
+    Phi, creeping = _alternated(W, 40, 53)
+    Phi, Chi, _ = zeros_mod._refine(W, Phi, creeping)
     monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
     # the representatives are those of a sequential first-come dedup
     keep = []
@@ -556,7 +563,12 @@ def test_dedup_keeps_first_of_each_overlap_class():
     assert list(zeros_mod._merge(Phi, np.array([e[0]] * 3))) == [0, 2]
 
 
-@pytest.mark.parametrize("seed", range(1, 9))
+# Besides seeds 1-8, three start seeds whose zero sets failed the check
+# under the former pattern-search polish (a start left 4-6e-3 short of a
+# printed zero, accepted and classified quadratic), and one that failed
+# under it once the sweep cap was lowered to 50.
+@pytest.mark.parametrize("seed", [*range(1, 9), 1685015770, 145337961, 1795454903,
+                                  61609175])
 def test_choi_lam_zero_set_passes_criterion_7_at_any_seed(seed):
     """The check of the zeros-choi-lam benchmark: each printed zero is hit
     by exactly one non-continuum zero, at least 10 zeros are continuum,
