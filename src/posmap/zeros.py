@@ -420,10 +420,11 @@ def _newton(W: Witness, Phi: np.ndarray, Chi: np.ndarray, values: np.ndarray
 
     :return: (Phi, Chi, values, steps), vectors unit norm, phases not
         canonical, ``steps`` the steps each row took.
+    :raises ValueError: if W is zero.
     """
     count, m = Phi.shape
     Phi, Chi, values = Phi.copy(), Chi.copy(), values.copy()
-    tol = 4.0 * np.finfo(float).eps * hs_norm(W.matrix)
+    tol = 4.0 * np.finfo(float).eps * _scale(W)
     shrink = np.ones(count)
     steps = np.zeros(count, dtype=int)
     active = np.arange(count)
@@ -490,6 +491,7 @@ def refine_zero(W: Witness,
     :param phi: approximate zero, m side (any nonzero norm); the chi
         side is recomputed as the minimal eigenvector at each step.
     :return: (phi, chi, value), unit vectors with canonical phases.
+    :raises ValueError: if W is zero.
     """
     Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None])
     return Phi[0], Chi[0], float(values[0])

@@ -445,12 +445,12 @@ def test_polish_skips_finished_starts(name):
                 [biquadratic_form(W, p, c) for p, c in zip(phis, chis)])
     for part, rows in zip(epilogue, masked):
         assert np.array_equal(rows[finished], part)
-    polished = zeros_mod._refine(W, Phi)[2][finished]
+    refined = zeros_mod._refine(W, Phi)[2][finished]
     scale = hs_norm(W.matrix)
-    assert np.abs(polished - masked[2][finished]).max() <= 1e-14 * scale
+    assert np.abs(refined - masked[2][finished]).max() <= 1e-14 * scale
     tol = 1e-9 * scale
     for test in (lambda v: np.abs(v) <= tol, lambda v: v < -tol):
-        assert np.array_equal(test(polished), test(masked[2][finished]))
+        assert np.array_equal(test(refined), test(masked[2][finished]))
 
 
 @pytest.mark.parametrize("name, cap", [("choi-lam", 200), ("horodecki-2x4", 60)])
@@ -707,11 +707,12 @@ def test_find_zeros_no_starts():
 
 def test_find_zeros_on_zero_witness():
     """f = 0 everywhere: every product vector is a zero, and ||A|| = 0
-    leaves the tolerances no scale, so the search and the classification
-    refuse the input."""
+    leaves the tolerances no scale, so the search, the Newton finish and
+    the classification refuse the input."""
     W = Witness(3, 3, np.zeros((9, 9)))
     e = np.eye(3)
     for call in (lambda: find_zeros(W, starts=3, seed=1),
+                 lambda: refine_zero(W, e[0]),
                  lambda: classify_zero(W, e[0], e[0])):
         with pytest.raises(ValueError, match="witness is zero"):
             call()
