@@ -7,7 +7,6 @@ byte-identical output files; POSMAP_SEED in the environment overrides
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,15 +20,23 @@ from .normalize import normalize
 from .sections import (SECTION_TYPES, BoundaryCurve, plane_from_states,
                        project_point, scan_boundary, section_of_type)
 from .serialize import (FormatError, atomic_write, curves_to_csv,
-                        diagnostics_to_json, hermitian_to_obj,
-                        normalization_to_json, render_section_svg,
-                        rings_to_csv, witness_from_json, witness_to_json,
-                        zeros_to_json)
+                        diagnostics_to_json, normalization_to_json,
+                        render_section_svg, rings_to_csv,
+                        section_sidecar_to_json, witness_from_json,
+                        witness_to_json, zeros_to_json)
 from .zeros import find_zeros
 
 __all__ = ["main"]
 
-BUILTIN_NAMES = ("choi-lam", "horodecki-2x4", "identity", "transposition")
+# The named builtin witnesses, built from the parsed --dim and --scale.
+# Each constructor is looked up in posmap.builtin at call time, where the
+# benchmark tracer (bench/tracer.py) patches it.
+BUILTINS = {
+    "choi-lam": lambda args: builtins_mod.choi_lam_witness(scale=args.scale),
+    "horodecki-2x4": lambda args: builtins_mod.horodecki_2x4_witness(),
+    "identity": lambda args: builtins_mod.identity_witness(args.dim),
+    "transposition": lambda args: builtins_mod.transposition_witness(args.dim),
+}
 
 
 # =============================================================================
@@ -76,39 +83,30 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _builtin_witness(name: str, dim: int, scale: str) -> Witness:
-    if name == "choi-lam":
-        return builtins_mod.choi_lam_witness(scale=scale)
-    if name == "horodecki-2x4":
-        return builtins_mod.horodecki_2x4_witness()
-    if name == "identity":
-        return builtins_mod.identity_witness(dim)
-    if name == "transposition":
-        return builtins_mod.transposition_witness(dim)
-    raise FormatError(f"unknown builtin {name!r}")
-
-
 def _load_witness(args) -> Witness:
-    if getattr(args, "input", None):
+    if args.input:
         try:
             with open(args.input, "r") as handle:
                 text = handle.read()
         except OSError as exc:
             raise FormatError(f"cannot read {args.input}: {exc}")
         return witness_from_json(text)
-    return _builtin_witness(args.builtin, getattr(args, "dim", 3),
-                            getattr(args, "scale", "map"))
+    return BUILTINS[args.builtin](args)
+
+
+def _add_builtin_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dim", type=at_least(2), default=3,
+                        help="dimension for identity/transposition (default 3)")
+    parser.add_argument("--scale", choices=("map", "paper"), default="map",
+                        help="choi-lam normalization (default map)")
 
 
 def _add_witness_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="witness JSON file")
-    group.add_argument("--builtin", choices=BUILTIN_NAMES,
+    group.add_argument("--builtin", choices=BUILTINS,
                        help="named builtin witness")
-    parser.add_argument("--dim", type=at_least(2), default=3,
-                        help="dimension for identity/transposition (default 3)")
-    parser.add_argument("--scale", choices=("map", "paper"), default="map",
-                        help="choi-lam normalization (default map)")
+    _add_builtin_options(parser)
 
 
 # =============================================================================
@@ -160,18 +158,9 @@ def _cmd_section(args) -> int:
 
     atomic_write(args.output, curves_to_csv([source, image_of_source,
                                              image_plane]))
-    sidecar = {
-        "type": args.type,
-        "norm_frame": plane.norm_frame,
-        "abc": [float(a), float(b), float(c)],
-        "samples": args.samples,
-        "seed": seed,
-        "markers": {k: (None if v is None else [float(v[0]), float(v[1])])
-                    for k, v in markers.items()},
-        "rho0": hermitian_to_obj(plane.rho0),
-    }
     atomic_write(os.path.splitext(args.output)[0] + ".json",
-                 json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+                 section_sidecar_to_json(args.type, plane, args.samples, seed,
+                                         markers))
     if args.svg:
         atomic_write(args.svg,
                      render_section_svg([image_of_source, image_plane],
@@ -180,7 +169,7 @@ def _cmd_section(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
-    W = _builtin_witness(args.name, args.dim, args.scale)
+    W = BUILTINS[args.name](args)
     _emit(witness_to_json(W), args.output)
     return 0
 
@@ -239,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_section)
 
     p = sub.add_parser("builtin", help="emit a builtin witness as JSON")
-    p.add_argument("name", choices=BUILTIN_NAMES)
-    p.add_argument("--dim", type=at_least(2), default=3)
-    p.add_argument("--scale", choices=("map", "paper"), default="map")
+    p.add_argument("name", choices=BUILTINS)
+    _add_builtin_options(p)
     p.add_argument("--output", help="witness JSON path (default stdout)")
     p.set_defaults(func=_cmd_builtin)
 

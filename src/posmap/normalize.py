@@ -66,6 +66,23 @@ class NormalizationResult:
     converged: bool
 
 
+def _inverse_image(Z: np.ndarray, image: str, support: str) -> np.ndarray:
+    """inv_pd(Z) of a map image Z, with the rank-decreasing diagnosis.
+
+    :raises ValueError: if Z is not positive definite; the message names
+        the ``image`` and the ``support`` identity of a positive map
+        that makes a singular image mean the map decreases rank.
+    """
+    try:
+        return inv_pd(Z)
+    except ValueError as exc:
+        raise ValueError(
+            f"{image} is not positive definite ({exc}); a positive map has "
+            f"{support}, so a singular image means the map decreases rank "
+            f"and has no unital, trace-preserving form"
+        ) from exc
+
+
 def _inverse_images(W: Witness, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S^{-1}, G) with S = M(X) and G = ( M^T(S^{-1}) )^{-1}.
 
@@ -77,26 +94,11 @@ def _inverse_images(W: Witness, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means the map decreases rank and has no unital, trace-preserving
         form; the message says so.
     """
-    S = apply_map(W, X)
-    try:
-        S_inv = inv_pd(S)
-    except ValueError as exc:
-        raise ValueError(
-            f"map image M(X) is not positive definite ({exc}); a positive "
-            f"map has supp M(X) = supp M(I) for every positive definite X, "
-            f"so a singular image means the map decreases rank and has no "
-            f"unital, trace-preserving form"
-        ) from exc
-    T = apply_transposed_map(W, S_inv)
-    try:
-        G = inv_pd(T)
-    except ValueError as exc:
-        raise ValueError(
-            f"transposed-map image M^T(M(X)^-1) is not positive definite "
-            f"({exc}); a positive map has supp M^T(Y) = supp M^T(I) for "
-            f"every positive definite Y, so a singular image means the map "
-            f"decreases rank and has no unital, trace-preserving form"
-        ) from exc
+    S_inv = _inverse_image(apply_map(W, X), "map image M(X)",
+                           "supp M(X) = supp M(I) for every positive definite X")
+    G = _inverse_image(apply_transposed_map(W, S_inv),
+                       "transposed-map image M^T(M(X)^-1)",
+                       "supp M^T(Y) = supp M^T(I) for every positive definite Y")
     return S_inv, G
 
 

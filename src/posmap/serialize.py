@@ -15,6 +15,7 @@ import numpy as np
 
 from .bipartite import Witness
 from .normalize import NormalizationResult
+from .sections import SectionPlane
 from .zeros import ProductZero
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "zeros_to_json",
     "normalization_to_json",
     "diagnostics_to_json",
+    "section_sidecar_to_json",
     "curves_to_csv",
     "rings_to_csv",
     "render_section_svg",
@@ -169,6 +171,24 @@ def diagnostics_to_json(report: dict) -> str:
     obj["partial_trace_1"] = hermitian_to_obj(report["partial_trace_1"])
     obj["partial_trace_2"] = hermitian_to_obj(report["partial_trace_2"])
     return _dumps(obj)
+
+
+def section_sidecar_to_json(section_type: str, plane: SectionPlane,
+                            samples: int, seed: int, markers: dict) -> str:
+    """The sidecar of a section's curve CSV: how the plane was built.
+
+    :param markers: {name: (x, y) or None} plane coordinates.
+    """
+    return _dumps({
+        "type": section_type,
+        "norm_frame": plane.norm_frame,
+        "abc": [float(v) for v in plane.abc],
+        "samples": samples,
+        "seed": seed,
+        "markers": {k: (None if v is None else [float(v[0]), float(v[1])])
+                    for k, v in markers.items()},
+        "rho0": hermitian_to_obj(plane.rho0),
+    })
 
 
 # =============================================================================

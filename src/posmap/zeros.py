@@ -298,16 +298,18 @@ def _alternate(W: Witness, Phi: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked alternating minimization; each start keeps its own stop rule.
 
-    A start stops once a sweep no longer lowers its value, or after
+    Every sweep hands each active start its new (phi, chi, f). A start
+    stops after the first sweep that does not lower its value, or after
     :data:`SWEEP_CAP` sweeps. A start still lowering its value at the cap
     is creeping: it has not reached a minimum, as in the quartically flat
     valleys around quartic zeros, where the alternation converges
     sublinearly, and :func:`find_zeros` finishes it by Newton's method
-    (:func:`_newton`).
+    (:func:`_refine`).
 
     :return: (Phi, Chi, values, creeping); vectors unit norm, phases not
-        canonical, ``creeping`` a boolean mask of the starts that ran
-        :data:`SWEEP_CAP` sweeps without stopping.
+        canonical, each value f_A at its row's (phi, chi) as
+        :func:`biquadratic_form` rounds it, ``creeping`` a boolean mask
+        of the starts that ran :data:`SWEEP_CAP` sweeps without stopping.
     """
     Phi = _normalized(np.asarray(Phi, dtype=complex))
     Chi, values = _chi_step(W, Phi)
@@ -317,12 +319,8 @@ def _alternate(W: Witness, Phi: np.ndarray
             break
         phi = _min_eigvec(apply_transposed_map(W, _outer(Chi[active])))
         chi, new = _chi_step(W, phi)
-        Phi[active] = phi
-        Chi[active] = chi
-        old = values[active]
-        stop = new >= old
-        # A stopping start keeps its old, lower value; the others take new.
-        values[active] = np.where(stop, old, new)
+        stop = new >= values[active]
+        Phi[active], Chi[active], values[active] = phi, chi, new
         active = active[~stop]
     creeping = np.zeros(Phi.shape[0], dtype=bool)
     creeping[active] = True
@@ -338,13 +336,15 @@ def alternating_minimize(W: Witness,
     of M^T(chi chi^dag). A 3 x 3 matrix takes the closed form of
     :func:`_smallest3`, which leaves to ``eigh`` the matrices whose
     smallest eigenvalue lies within :data:`GAP_SHARE` of the spread from
-    the next; other sizes take ``eigh``. The value decreases
-    monotonically. Stops when a sweep no longer lowers the value at
-    working precision, or after :data:`SWEEP_CAP` sweeps.
+    the next; other sizes take ``eigh``. Each sweep but the last lowers
+    the value. Stops after the first sweep that does not lower it at
+    working precision, keeping that sweep's point, or after
+    :data:`SWEEP_CAP` sweeps.
 
     :param W: witness.
     :param phi0: starting vector on the m side, any nonzero norm.
-    :return: (phi, chi, value) with unit vectors, phases canonicalized.
+    :return: (phi, chi, value) with unit vectors, phases canonicalized,
+        and value f_A at the last sweep's point.
     """
     Phi, Chi, values, _ = _alternate(W, np.asarray(phi0, dtype=complex)[None])
     return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
@@ -458,18 +458,16 @@ def _newton(W: Witness, Phi: np.ndarray, Chi: np.ndarray, values: np.ndarray
     return Phi, Chi, values, steps
 
 
-def _refine(W: Witness, Phi: np.ndarray, finish: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row takes chi as the minimal eigenvector of M(phi phi^dag)
-    and its value there; the rows of the boolean mask ``finish`` (all
-    rows without it) then take the Newton finish of :func:`_newton`.
+def _refine(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked :func:`refine_zero`: each row takes chi as the minimal
+    eigenvector of M(phi phi^dag), its value there and the Newton finish
+    of :func:`_newton`.
 
     :return: (Phi, Chi, values), unit vectors with canonical phases.
     """
     Phi = _normalized(np.asarray(Phi, dtype=complex))
     Chi, values = _chi_step(W, Phi)
-    rows = slice(None) if finish is None else finish
-    Phi[rows], Chi[rows], values[rows], _ = _newton(W, Phi[rows], Chi[rows], values[rows])
+    Phi, Chi, values, _ = _newton(W, Phi, Chi, values)
     return _canonical_phase(Phi), _canonical_phase(Chi), values
 
 
@@ -700,19 +698,20 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     """Search for zeros from random starts, deduplicate, and classify.
 
     Runs the alternation of :func:`alternating_minimize` (at most
-    :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors,
+    :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors and
     finishes the starts still lowering their value at the cap by the
-    Newton descent of :func:`refine_zero` (a start that stopped by the
+    Newton descent of :func:`refine_zero`; a start that stopped by the
     alternation's own rule, where a sweep no longer lowers its value,
-    would gain nothing from it but rounding), takes chi as the minimal
-    eigenvector at every result, keeps results with value at most
-    ``tol * ||A||``, merges candidates whose overlap
-    |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds 1 - :data:`DEDUP_TOL`
-    (keeping the lowest value), and classifies each
-    survivor, certifying its continuum flag from its own reduced quartic
-    (:class:`ProductZero`), so the flag does not depend on the other
-    zeros found. Every phase runs once over the stack of all starts, and
-    each start ends where it ends when searched alone.
+    keeps the alternation's result. So a stopped start ends at
+    ``alternating_minimize(W, start)`` and a creeping one at
+    ``refine_zero(W, alternating_minimize(W, start)[0])``, bit for bit.
+    The search then keeps results with value at most ``tol * ||A||``,
+    merges candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>|
+    exceeds 1 - :data:`DEDUP_TOL` (keeping the lowest value), and
+    classifies each survivor, certifying its continuum flag from its own
+    reduced quartic (:class:`ProductZero`), so the flag does not depend
+    on the other zeros found. Every phase runs once over the stack of
+    its starts.
 
     :param W: witness.
     :param starts: number of random starting vectors (0 finds nothing).
@@ -732,11 +731,11 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     rng = np.random.default_rng(seed)
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
-    Phi, _, _, creeping = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
+    Phi, Chi, values, creeping = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
+    Phi, Chi = _canonical_phase(Phi), _canonical_phase(Chi)
     # Alternation alone creeps sublinearly into quartic valleys: Newton
     # finishes the starts it left creeping before accepting or rejecting.
-    # The others stopped where a sweep no longer lowers the value.
-    Phi, Chi, values = _refine(W, _canonical_phase(Phi), creeping)
+    Phi[creeping], Chi[creeping], values[creeping] = _refine(W, Phi[creeping])
     # A negative minimum is no zero: the input is not a witness.
     if starts and values.min() < -tol * scale:
         low = int(np.argmin(values))

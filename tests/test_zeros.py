@@ -340,7 +340,7 @@ def _sequential_alternation(W, phi, max_iter, tol):
         chi = _min_vec(apply_map(W, np.outer(phi, phi.conj())))
         new_value = biquadratic_form(W, phi, chi)
         if value - new_value <= tol:
-            value = min(value, new_value)
+            value = new_value
             stopped = True
             break
         value = new_value
@@ -424,46 +424,52 @@ FINISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witnes
 
 def _alternated(W, count, seed):
     """The alternation's results as find_zeros hands them to the finish."""
-    Phi, _, _, creeping = zeros_mod._alternate(W, _starts(W, count, seed))
-    return zeros_mod._canonical_phase(Phi), creeping
+    Phi, Chi, values, creeping = zeros_mod._alternate(W, _starts(W, count, seed))
+    return zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values, creeping
 
 
 @pytest.mark.parametrize("name", FINISH_CASES)
-def test_polish_skips_finished_starts(name):
-    """A start that stopped by the alternation's own rule takes only the
-    chi step of the Newton finish; finishing it anyway moves its value by
-    rounding alone and flips no acceptance at find_zeros' default tol."""
+def test_alternation_values_are_the_form_at_its_points(name):
+    """Every value the alternation returns is f_A at the point it returns,
+    rounded as biquadratic_form rounds it, also for a stopping start."""
     W = FINISH_CASES[name]()
-    Phi, creeping = _alternated(W, 100, 54)
+    Phi, Chi, values, creeping = zeros_mod._alternate(W, _starts(W, 100, 54))
+    assert not creeping.all()
+    assert np.array_equal(values, biquadratic_form(W, Phi, Chi))
+
+
+@pytest.mark.parametrize("name", FINISH_CASES)
+def test_polish_skips_finished_starts(name, monkeypatch):
+    """find_zeros hands the Newton finish only the starts still creeping
+    at the sweep cap; a start that stopped by the alternation's own rule
+    keeps its result. Finishing it anyway would move its value by
+    rounding alone and flip no acceptance at find_zeros' default tol."""
+    W = FINISH_CASES[name]()
+    seen = {}
+    alternate, refine = zeros_mod._alternate, zeros_mod._refine
+
+    def spy_alternate(W, Phi):
+        seen["alternate"] = alternate(W, Phi)
+        return tuple(part.copy() for part in seen["alternate"])
+
+    def spy_refine(W, Phi):
+        seen["refine"] = Phi.copy()
+        return refine(W, Phi)
+
+    monkeypatch.setattr(zeros_mod, "_alternate", spy_alternate)
+    monkeypatch.setattr(zeros_mod, "_refine", spy_refine)
+    find_zeros(W, 100, 54)
+    Phi, _, values, creeping = seen["alternate"]
+    Phi = zeros_mod._canonical_phase(Phi)
+    assert np.array_equal(seen["refine"], Phi[creeping])
     finished = ~creeping
     assert finished.sum() >= 30
-    masked = zeros_mod._refine(W, Phi, creeping)
-    phis = [p / np.linalg.norm(p) for p in Phi[finished]]
-    chis = [_min_vec(apply_map(W, np.outer(p, p.conj()))) for p in phis]
-    epilogue = (zeros_mod._canonical_phase(np.array(phis)),
-                zeros_mod._canonical_phase(np.array(chis)),
-                [biquadratic_form(W, p, c) for p, c in zip(phis, chis)])
-    for part, rows in zip(epilogue, masked):
-        assert np.array_equal(rows[finished], part)
-    refined = zeros_mod._refine(W, Phi)[2][finished]
+    refined = refine(W, Phi[finished])[2]
     scale = hs_norm(W.matrix)
-    assert np.abs(refined - masked[2][finished]).max() <= 1e-14 * scale
+    assert np.abs(refined - values[finished]).max() <= 1e-14 * scale
     tol = 1e-9 * scale
     for test in (lambda v: np.abs(v) <= tol, lambda v: v < -tol):
-        assert np.array_equal(test(refined), test(masked[2][finished]))
-
-
-@pytest.mark.parametrize("name, cap", [("choi-lam", 200), ("horodecki-2x4", 60)])
-def test_polish_of_creeping_starts_matches_full_polish(name, cap, monkeypatch):
-    """The starts still lowering their value at the sweep cap get the
-    Newton finish they get when every start is finished, bit for bit."""
-    W = WITNESSES[name]()
-    monkeypatch.setattr(zeros_mod, "SWEEP_CAP", cap)
-    Phi, creeping = _alternated(W, 60, 55)
-    assert 0 < creeping.sum() < len(Phi)
-    masked = zeros_mod._refine(W, Phi, creeping)
-    for rows, full in zip(masked, zeros_mod._refine(W, Phi)):
-        assert np.array_equal(rows[creeping], full[creeping])
+        assert np.array_equal(test(refined), test(values[finished]))
 
 
 def _newton_steps(monkeypatch, W, starts, seed):
@@ -500,10 +506,10 @@ def test_newton_finish_converges_quadratically_at_positive_minima(monkeypatch):
     Hessian: without it the steps converge only linearly."""
     W = _interior_witness(5)
     monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 200)
-    _, _, full, creeping = zeros_mod._alternate(W, _starts(W, 60, 54))
+    _, _, full, creeping = _alternated(W, 60, 54)
     assert not creeping.any()
     monkeypatch.setattr(zeros_mod, "SWEEP_CAP", 40)
-    Phi, creeping = _alternated(W, 60, 54)
+    Phi, _, _, creeping = _alternated(W, 60, 54)
     assert creeping.all()
     Phi = zeros_mod._normalized(Phi)
     Chi, values = zeros_mod._chi_step(W, Phi)
@@ -536,8 +542,8 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
 def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
     # the search's candidates: near-zeros, scattered along the continuum
-    Phi, creeping = _alternated(W, 40, 53)
-    Phi, Chi, _ = zeros_mod._refine(W, Phi, creeping)
+    Phi, Chi, _, creeping = _alternated(W, 40, 53)
+    Phi[creeping], Chi[creeping], _ = zeros_mod._refine(W, Phi[creeping])
     monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
     # the representatives are those of a sequential first-come dedup
     keep = []
@@ -680,21 +686,25 @@ def test_classify_refuses_uncertified_null_space(monkeypatch):
         zeros_mod._classify(W, e[[1]], e[[0]])
 
 
-def test_find_zeros_single_start():
-    """One start: alternate, refine, accept and classify, as the
-    one-start pipeline of the public functions does."""
+@pytest.mark.parametrize("seed, creeps, continuum", [(1, False, True), (3, True, False)])
+def test_find_zeros_single_start(seed, creeps, continuum):
+    """One start: a start that stops keeps the result of
+    alternating_minimize, a creeping one takes refine_zero of it; then
+    accept and classify, as the public one-start functions do."""
     W = choi_lam_witness()
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     phi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    phi, _, _ = alternating_minimize(W, phi0)
-    phi, chi, value = refine_zero(W, phi)
+    assert zeros_mod._alternate(W, phi0[None])[3][0] == creeps
+    phi, chi, value = alternating_minimize(W, phi0)
+    if creeps:
+        phi, chi, value = refine_zero(W, phi)
     assert abs(value) <= 1e-9
     kind, spectrum = classify_zero(W, phi, chi)
-    (z,) = find_zeros(W, starts=1, seed=3)
+    (z,) = find_zeros(W, starts=1, seed=seed)
     assert np.array_equal(z.phi, phi) and np.array_equal(z.chi, chi)
     assert z.value == abs(value)
     assert z.kind == kind and np.array_equal(z.hessian_spectrum, spectrum)
-    assert not z.continuum
+    assert z.continuum == continuum
 
 
 def test_find_zeros_no_starts():
