@@ -32,7 +32,7 @@ from .bipartite import (
     apply_transposed_map,
     product_transform,
 )
-from .hermitian import hermitian_basis, hs_norm, inv_pd, sqrt_psd
+from .hermitian import as_hermitian, hermitian_basis, hs_norm, inv_pd, sqrt_psd
 
 __all__ = [
     "NormalizationResult",
@@ -128,16 +128,25 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
     :param tol: stopping tolerance on the step norm.
     :param max_iter: iteration cap; non-convergence is reported in the
         result, not raised.
-    :param x0: optional positive-definite start, any normalization.
+    :param x0: optional positive-definite m x m start, any normalization.
     :return: :class:`NormalizationResult`.
-    :raises ValueError: when an iterate leaves the positive-definite
+    :raises ValueError: if ``x0`` is not a Hermitian positive-definite
+        m x m matrix, or when an iterate leaves the positive-definite
         domain of the step.
     """
     m, n = W.m, W.n
     if x0 is None:
         X = np.eye(m, dtype=complex)
     else:
-        X = np.asarray(x0, dtype=complex)
+        try:
+            X = as_hermitian(x0)
+            if X.shape != (m, m):
+                raise ValueError(f"got shape {X.shape}")
+            inv_pd(X)
+        except ValueError as exc:
+            raise ValueError(
+                f"x0 must be a Hermitian positive-definite {m} x {m} matrix: {exc}"
+            ) from exc
         X = X * (m / np.trace(X).real)
     history = []
     converged = False

@@ -137,10 +137,9 @@ CONTINUUM_TOL = 1e-6
 # Singular values above this share of the largest count toward a
 # constraint rank.
 RANK_TOL = 1e-10
-# Row blocks that bound the working set of the stacked kernels: rows per
-# block of the pairwise overlap matrix, and zeros per stacked Hessian.
+# Rows per block of the pairwise overlap matrix, which bounds the working
+# set of _merge.
 OVERLAP_BLOCK = 64
-CLASSIFY_CHUNK = 64
 # Least share of the spread of a 3 x 3 spectrum that the gap between the
 # smallest eigenvalue and the next must keep for the closed form of
 # _smallest3, whose error grows as eps * spread^2 / gap; rows with a
@@ -303,8 +302,8 @@ def _alternate(W: Witness, Phi: np.ndarray
     :data:`SWEEP_CAP` sweeps. A start still lowering its value at the cap
     is creeping: it has not reached a minimum, as in the quartically flat
     valleys around quartic zeros, where the alternation converges
-    sublinearly, and :func:`find_zeros` finishes it by Newton's method
-    (:func:`_refine`).
+    sublinearly, and :func:`_minimize` finishes it by Newton's method
+    (:func:`_newton`).
 
     :return: (Phi, Chi, values, creeping); vectors unit norm, phases not
         canonical, each value f_A at its row's (phi, chi) as
@@ -458,16 +457,17 @@ def _newton(W: Witness, Phi: np.ndarray, Chi: np.ndarray, values: np.ndarray
     return Phi, Chi, values, steps
 
 
-def _refine(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked :func:`refine_zero`: each row takes chi as the minimal
-    eigenvector of M(phi phi^dag), its value there and the Newton finish
-    of :func:`_newton`.
+def _minimize(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked minimization of f_A from the starts Phi: the alternation of
+    :func:`_alternate`, then the Newton descent of :func:`_newton` on the
+    rows it left creeping, from the alternation's own (phi, chi, f).
 
     :return: (Phi, Chi, values), unit vectors with canonical phases.
+    :raises ValueError: if W is zero.
     """
-    Phi = _normalized(np.asarray(Phi, dtype=complex))
-    Chi, values = _chi_step(W, Phi)
-    Phi, Chi, values, _ = _newton(W, Phi, Chi, values)
+    Phi, Chi, values, creeping = _alternate(W, Phi)
+    Phi[creeping], Chi[creeping], values[creeping], _ = _newton(
+        W, Phi[creeping], Chi[creeping], values[creeping])
     return _canonical_phase(Phi), _canonical_phase(Chi), values
 
 
@@ -483,7 +483,9 @@ def refine_zero(W: Witness,
     and tangent Hessian in closed form, with the spheres' curvature. The
     Newton step does not degenerate in the quartically flat valleys
     around quartic zeros: along f = c d^4 it is d / 3, and its triple,
-    which every step also tries, lands on the minimum.
+    which every step also tries, lands on the minimum. :func:`find_zeros`
+    starts the descent from the alternation's own (phi, chi, f), so it
+    matches ``refine_zero`` of the alternation's phi to rounding.
 
     :param W: witness.
     :param phi: approximate zero, m side (any nonzero norm); the chi
@@ -491,8 +493,9 @@ def refine_zero(W: Witness,
     :return: (phi, chi, value), unit vectors with canonical phases.
     :raises ValueError: if W is zero.
     """
-    Phi, Chi, values = _refine(W, np.asarray(phi, dtype=complex)[None])
-    return Phi[0], Chi[0], float(values[0])
+    Phi = _normalized(np.asarray(phi, dtype=complex)[None])
+    Phi, Chi, values, _ = _newton(W, Phi, *_chi_step(W, Phi))
+    return _canonical_phase(Phi)[0], _canonical_phase(Chi)[0], float(values[0])
 
 
 def _reduced_quartic(W: Witness, D_phi: np.ndarray, D_chi: np.ndarray,
@@ -579,10 +582,9 @@ def _scale(W: Witness) -> float:
 
 def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray
               ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked zero classification and continuum certificate,
-    :data:`CLASSIFY_CHUNK` zeros at a time.
+    """Stacked zero classification and continuum certificate.
 
-    One ``eigh`` per chunk gives the Hessian spectra, the k null
+    One stacked ``eigh`` gives the Hessian spectra, the k null
     directions (eigenvalues below :data:`HESS_TOL` * ||A||) and H^+.
     With k = 1 the certificate is q at the null vector, with k >= 2 the
     exact minimum of q over the circle spanned by the two lowest
@@ -596,24 +598,18 @@ def _classify(W: Witness, Phi: np.ndarray, Chi: np.ndarray
         stays above the tolerance on that circle: its other null
         directions are not searched, so it is not certified isolated.
     """
-    count = Phi.shape[0]
-    dim = 2 * (Phi.shape[1] - 1) + 2 * (Chi.shape[1] - 1)
     scale = _scale(W)
     hess_tol = HESS_TOL * scale
-    spectra = np.empty((count, dim))
-    q_min = np.empty(count)
     # The sample directions in the plane of the two lowest eigenvectors.
     circle = np.stack([np.cos(_CIRCLE), np.sin(_CIRCLE)], axis=1)
-    for b in range(0, count, CLASSIFY_CHUNK):
-        c = slice(b, b + CLASSIFY_CHUNK)
-        D_phi, D_chi, a = _variations(Phi[c], Chi[c])
-        spectra[c], vectors = np.linalg.eigh(_hessian(W, Phi[c], Chi[c], D_phi, D_chi, a))
-        # R = V diag(lambda^-1/2), zero on the null space: R R^T = H^+.
-        scales = np.where(spectra[c] > hess_tol, spectra[c], np.inf) ** -0.5
-        samples = _reduced_quartic(W, D_phi, D_chi, a, vectors * scales[:, None],
-                                   circle @ vectors[:, :, :2].swapaxes(-1, -2))
-        # _CIRCLE[0] = 0: the first sample is q at the lowest eigenvector.
-        q_min[c] = np.where(spectra[c, 1] < hess_tol, _circle_min(samples), samples[:, 0])
+    D_phi, D_chi, a = _variations(Phi, Chi)
+    spectra, vectors = np.linalg.eigh(_hessian(W, Phi, Chi, D_phi, D_chi, a))
+    # R = V diag(lambda^-1/2), zero on the null space: R R^T = H^+.
+    scales = np.where(spectra > hess_tol, spectra, np.inf) ** -0.5
+    samples = _reduced_quartic(W, D_phi, D_chi, a, vectors * scales[:, None],
+                               circle @ vectors[:, :, :2].swapaxes(-1, -2))
+    # _CIRCLE[0] = 0: the first sample is q at the lowest eigenvector.
+    q_min = np.where(spectra[:, 1] < hess_tol, _circle_min(samples), samples[:, 0])
     nulls = np.count_nonzero(spectra < hess_tol, axis=1)
     q_min[nulls == 0] = np.inf
     continuum = q_min <= CONTINUUM_TOL * scale
@@ -666,8 +662,8 @@ def _merge(Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
 
     One pass builds the overlaps |<phi_i, phi_j>| |<chi_i, chi_j>| of
     rows i < j, :data:`OVERLAP_BLOCK` rows at a time. Above
-    1 - :data:`DEDUP_TOL` two rows are the same zero, and a row is a
-    representative unless an earlier representative is the same zero.
+    1 - :data:`DEDUP_TOL` two rows are the same zero, and one greedy
+    pass keeps a row unless an earlier kept row is the same zero.
 
     :return: representative rows, ascending.
     """
@@ -682,14 +678,10 @@ def _merge(Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
         overlap = np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi[b:]))
         overlap *= np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi[b:]))
         same[rows, b:] = np.triu(overlap > 1.0 - DEDUP_TOL, 1)
-    # Whether a row is kept follows from the rows before it, so each
-    # round of the rule settles at least one more row.
     keep = np.ones(count, dtype=bool)
-    for _ in range(count):
-        settled = ~same[keep].any(axis=0)
-        if np.array_equal(settled, keep):
-            break
-        keep = settled
+    for i in range(count):
+        if keep[i]:
+            keep[i + 1:] &= ~same[i, i + 1:]
     return np.flatnonzero(keep)
 
 
@@ -700,11 +692,13 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     Runs the alternation of :func:`alternating_minimize` (at most
     :data:`SWEEP_CAP` sweeps) from ``starts`` Haar-random phi vectors and
     finishes the starts still lowering their value at the cap by the
-    Newton descent of :func:`refine_zero`; a start that stopped by the
-    alternation's own rule, where a sweep no longer lowers its value,
-    keeps the alternation's result. So a stopped start ends at
-    ``alternating_minimize(W, start)`` and a creeping one at
-    ``refine_zero(W, alternating_minimize(W, start)[0])``, bit for bit.
+    Newton descent of :func:`refine_zero`, started from the alternation's
+    own (phi, chi, f); a start that stopped by the alternation's own
+    rule, where a sweep no longer lowers its value, keeps the
+    alternation's result. Each start ends, bit for bit, at
+    :func:`_minimize` of itself alone: a stopped start at
+    ``alternating_minimize(W, start)``, a creeping one at
+    ``refine_zero(W, alternating_minimize(W, start)[0])`` to rounding.
     The search then keeps results with value at most ``tol * ||A||``,
     merges candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>|
     exceeds 1 - :data:`DEDUP_TOL` (keeping the lowest value), and
@@ -731,11 +725,7 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     rng = np.random.default_rng(seed)
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
-    Phi, Chi, values, creeping = _alternate(W, draws[:, 0] + 1j * draws[:, 1])
-    Phi, Chi = _canonical_phase(Phi), _canonical_phase(Chi)
-    # Alternation alone creeps sublinearly into quartic valleys: Newton
-    # finishes the starts it left creeping before accepting or rejecting.
-    Phi[creeping], Chi[creeping], values[creeping] = _refine(W, Phi[creeping])
+    Phi, Chi, values = _minimize(W, draws[:, 0] + 1j * draws[:, 1])
     # A negative minimum is no zero: the input is not a witness.
     if starts and values.min() < -tol * scale:
         low = int(np.argmin(values))
@@ -760,8 +750,8 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
 def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Real constraint rows that zeros impose on the witness.
 
-    Broadcasts over leading stack axes of ``phi`` and ``chi``, as
-    :func:`apply_map` does. With psi = phi (x) chi and the variations
+    Takes one zero or a stack of them: ``phi`` of shape (..., m) and
+    ``chi`` of shape (..., n) with the same leading stack axes. With psi = phi (x) chi and the variations
     a_p of the tangent directions of the Hessian, the 2(m + n) - 3 rows
     of a zero are, in the traceless orthonormal witness coordinates E:
     the value row psi^dag E psi = <psi psi^dag, E> and, for each tangent
@@ -769,11 +759,15 @@ def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     i u this is -Im psi^dag E (u (x) chi)).
 
     :return: array of shape (..., 2(m+n)-3, (mn)^2 - 1).
+    :raises ValueError: if the shapes do not fit W or each other.
     """
     phi = np.asarray(phi, dtype=complex)
+    chi = np.asarray(chi, dtype=complex)
     stack = phi.shape[:-1]
-    Phi = phi.reshape(-1, W.m)
-    Chi = np.asarray(chi, dtype=complex).reshape(-1, W.n)
+    if phi.shape != stack + (W.m,) or chi.shape != stack + (W.n,):
+        raise ValueError(f"expected phi of shape (..., {W.m}) and chi of shape "
+                         f"(..., {W.n}) alike, got {phi.shape} and {chi.shape}")
+    Phi, Chi = phi.reshape(-1, W.m), chi.reshape(-1, W.n)
     psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(-1, W.m * W.n)
     partners = np.concatenate([psi[:, None], _variations(Phi, Chi)[2]], axis=1)
     basis = hermitian_basis(W.m * W.n)[1:]
@@ -791,10 +785,11 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     :param W: witness.
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
     :return: :class:`ConstraintSystem`.
+    :raises ValueError: as :func:`constraint_rows`.
     """
     pairs = [(z.phi, z.chi) if isinstance(z, ProductZero) else z for z in zeros]
-    Phi = np.array([phi for phi, _ in pairs], dtype=complex).reshape(-1, W.m)
-    Chi = np.array([chi for _, chi in pairs], dtype=complex).reshape(-1, W.n)
+    Phi = np.array([phi for phi, _ in pairs] or np.empty((0, W.m)), dtype=complex)
+    Chi = np.array([chi for _, chi in pairs] or np.empty((0, W.n)), dtype=complex)
     rows = constraint_rows(W, Phi, Chi)
     rows = rows.reshape(-1, rows.shape[-1])
     sv = np.linalg.svd(rows, compute_uv=False)

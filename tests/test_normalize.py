@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posmap.bipartite import Witness, apply_map, apply_transposed_map, diagnostics, tensor
+from posmap.bipartite import (Witness, apply_map, apply_transposed_map, diagnostics,
+                              map_matrix, partial_transpose, product_transform, tensor)
 from posmap.builtin import choi_lam_witness, horodecki_2x4_witness, identity_witness
 from posmap.hermitian import hermitian_basis
 from posmap.normalize import _step, contraction_spectrum, normalize
@@ -64,6 +69,22 @@ def test_normalize_start_independence():
         x0 = G @ G.conj().T + 0.1 * np.eye(2)
         X = normalize(W, x0=x0).X
         assert np.abs(X - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("x0, detail", [
+    (np.zeros((2, 2)), "not positive definite"),
+    ([[1.0, 0.0], [0.0, -0.5]], "not positive definite"),
+    ([[1.0, 2j], [0.0, 1.0]], "not Hermitian"),
+    (np.eye(3), r"shape \(3, 3\)"),
+], ids=["zero", "indefinite", "non-hermitian", "3x3"])
+def test_normalize_rejects_invalid_start(x0, detail):
+    """A start that is not a Hermitian positive-definite m x m matrix is
+    named as the fault, without a numpy warning, instead of being blamed
+    on the map ("decreases rank") or failing in a reshape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^x0 must be .*{detail}"):
+            normalize(horodecki_2x4_witness(), x0=x0)
 
 
 def test_normalize_non_convergence_reported():
@@ -147,3 +168,52 @@ def test_contraction_predicts_convergence_rate():
     h = res.history
     ratios = [h[k + 1] / h[k] for k in range(40, 50)]
     assert abs(np.mean(ratios) - rho) < 1e-3
+
+
+def _interior_witness(seed, m, n):
+    """lam I/(mn) + (1 - lam) A_cp: an interior witness on C^m (x) C^n."""
+    rng = np.random.default_rng(seed)
+    A = _random_cp_witness(rng, m, n).matrix
+    lam = rng.uniform(0.05, 0.9)
+    return Witness(m, n, lam * np.eye(m * n) / (m * n) + (1 - lam) * A)
+
+
+STANDARD_FORM_CASES = {
+    "choi-lam-map": lambda seed: choi_lam_witness("map"),
+    "choi-lam-paper": lambda seed: choi_lam_witness("paper"),
+    "horodecki-2x4": lambda seed: horodecki_2x4_witness(),
+    "interior-3x3": lambda seed: _interior_witness(seed, 3, 3),
+    "interior-2x4": lambda seed: _interior_witness(seed, 2, 4),
+    "interior-4x2": lambda seed: _interior_witness(seed, 4, 2),
+}
+
+
+def _standard_form_invariants(W):
+    """Spectra of A and A^Gamma and the singular values of the traceless
+    block of the map matrix, of the standard form of W: each is invariant
+    under unitary product transformations."""
+    res = normalize(W)
+    assert res.converged, (f"normalize did not converge: step norm "
+                           f"{res.history[-1]:.3e} after {res.iterations} steps")
+    A = res.witness
+    return (np.linalg.eigvalsh(A.matrix), np.linalg.eigvalsh(partial_transpose(A).matrix),
+            np.linalg.svd(map_matrix(A).coeffs[1:, 1:], compute_uv=False))
+
+
+@pytest.mark.parametrize("name", STANDARD_FORM_CASES)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.floats(-3.0, 3.0))
+def test_standard_form_unique_under_product_transforms(name, witness_seed, seed, log_scale):
+    """The unital, trace-preserving form is unique up to unitary product
+    transformations: a witness conjugated by a random complex product
+    G (x) H, scaled by 10^log_scale, normalizes to a form with the same
+    invariants. A witness whose iteration does not converge fails."""
+    W = STANDARD_FORM_CASES[name](witness_seed)
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((W.m, W.m)) + 1j * rng.standard_normal((W.m, W.m))
+    H = rng.standard_normal((W.n, W.n)) + 1j * rng.standard_normal((W.n, W.n))
+    moved = product_transform(W, 10.0 ** log_scale * G, H)
+    for ref, got in zip(_standard_form_invariants(W), _standard_form_invariants(moved)):
+        assert np.abs(got - ref).max() <= 1e-8

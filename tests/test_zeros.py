@@ -151,6 +151,22 @@ def test_constraint_rows_shape():
     assert R24.shape == (2 * (2 + 4) - 3, 63)
 
 
+@pytest.mark.parametrize("phi, chi", [
+    (np.ones(6), np.eye(3)[0]),          # not to be read as two zeros
+    (np.eye(3)[0], np.ones(2)),
+    (np.eye(3)[:2], np.eye(3)),          # two phi against three chi
+], ids=["phi-length", "chi-length", "stack-shapes"])
+def test_constraint_rows_reject_mismatched_shapes(phi, chi):
+    """A phi of length other than m, a chi of length other than n, or
+    stacks of different shapes are refused, not reshaped into zeros."""
+    W = choi_lam_witness()
+    with pytest.raises(ValueError, match="expected phi of shape"):
+        constraint_rows(W, phi, chi)
+    if phi.ndim == chi.ndim == 1:
+        with pytest.raises(ValueError, match="expected phi of shape"):
+            constraint_rank(W, [(phi, chi)])
+
+
 def test_constraint_rank_printed_zeros():
     W = choi_lam_witness()
     e = np.eye(3)
@@ -395,6 +411,11 @@ def test_stacked_alternation_matches_single_starts(name, max_iter, tol, monkeypa
     _assert_rows_equal(stacked, [alternating_minimize(W, s) for s in starts])
     _assert_rows_equal(stacked, [_sequential_alternation(W, s, max_iter, tol)
                                  for s in starts])
+    # With the Newton finish of the creeping rows, too, each start of a
+    # stack ends where it ends alone.
+    _assert_rows_equal(zeros_mod._minimize(W, starts),
+                       [[part[0] for part in zeros_mod._minimize(W, starts[k:k + 1])]
+                        for k in range(len(starts))])
 
 
 @pytest.mark.parametrize("name", WITNESSES)
@@ -403,9 +424,11 @@ def test_stacked_refine_matches_single_starts(name, cap, monkeypatch):
     """Every start of a stacked Newton finish gets the bits it gets alone,
     also when the step cap stops the finish early."""
     W = WITNESSES[name]()
-    phis = list(_starts(W, 10, 51))   # far from zeros: rows stop after different steps
+    phis = _starts(W, 10, 51)   # far from zeros: rows stop after different steps
     monkeypatch.setattr(zeros_mod, "NEWTON_CAP", cap)
-    stacked = zeros_mod._refine(W, np.array(phis))
+    Phi = zeros_mod._normalized(phis)
+    Phi, Chi, values, _ = zeros_mod._newton(W, Phi, *zeros_mod._chi_step(W, Phi))
+    stacked = (zeros_mod._canonical_phase(Phi), zeros_mod._canonical_phase(Chi), values)
     _assert_rows_equal(stacked, [refine_zero(W, p) for p in phis])
 
 
@@ -441,30 +464,31 @@ def test_alternation_values_are_the_form_at_its_points(name):
 @pytest.mark.parametrize("name", FINISH_CASES)
 def test_polish_skips_finished_starts(name, monkeypatch):
     """find_zeros hands the Newton finish only the starts still creeping
-    at the sweep cap; a start that stopped by the alternation's own rule
-    keeps its result. Finishing it anyway would move its value by
-    rounding alone and flip no acceptance at find_zeros' default tol."""
+    at the sweep cap, with the alternation's own (phi, chi, f); a start
+    that stopped by the alternation's own rule keeps its result.
+    Finishing it anyway would move its value by rounding alone and flip
+    no acceptance at find_zeros' default tol."""
     W = FINISH_CASES[name]()
     seen = {}
-    alternate, refine = zeros_mod._alternate, zeros_mod._refine
+    alternate, newton = zeros_mod._alternate, zeros_mod._newton
 
     def spy_alternate(W, Phi):
         seen["alternate"] = alternate(W, Phi)
         return tuple(part.copy() for part in seen["alternate"])
 
-    def spy_refine(W, Phi):
-        seen["refine"] = Phi.copy()
-        return refine(W, Phi)
+    def spy_newton(W, Phi, Chi, values):
+        seen["newton"] = (Phi.copy(), Chi.copy(), values.copy())
+        return newton(W, Phi, Chi, values)
 
     monkeypatch.setattr(zeros_mod, "_alternate", spy_alternate)
-    monkeypatch.setattr(zeros_mod, "_refine", spy_refine)
+    monkeypatch.setattr(zeros_mod, "_newton", spy_newton)
     find_zeros(W, 100, 54)
-    Phi, _, values, creeping = seen["alternate"]
-    Phi = zeros_mod._canonical_phase(Phi)
-    assert np.array_equal(seen["refine"], Phi[creeping])
+    Phi, Chi, values, creeping = seen["alternate"]
+    for handed, part in zip(seen["newton"], (Phi, Chi, values)):
+        assert np.array_equal(handed, part[creeping])
     finished = ~creeping
     assert finished.sum() >= 30
-    refined = refine(W, Phi[finished])[2]
+    refined = newton(W, Phi[finished], Chi[finished], values[finished])[2]
     scale = hs_norm(W.matrix)
     assert np.abs(refined - values[finished]).max() <= 1e-14 * scale
     tol = 1e-9 * scale
@@ -519,14 +543,13 @@ def test_newton_finish_converges_quadratically_at_positive_minima(monkeypatch):
 
 
 @pytest.mark.parametrize("name", WITNESSES)
-def test_stacked_classify_matches_single_zeros(name, monkeypatch):
+def test_stacked_classify_matches_single_zeros(name):
     W = WITNESSES[name]()
-    phis = [alternating_minimize(W, s)[0] for s in _starts(W, 12, 52)]
-    Phi, Chi, values = zeros_mod._refine(W, np.array(phis))
+    Phi, Chi, values = (np.array(part) for part in zip(
+        *(refine_zero(W, alternating_minimize(W, s)[0]) for s in _starts(W, 12, 52))))
     found = np.abs(values) <= 1e-9 * max(1.0, hs_norm(W.matrix))
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
-    monkeypatch.setattr(zeros_mod, "CLASSIFY_CHUNK", 3)   # several chunks
     kinds, spectra, _, flags = zeros_mod._classify(W, Phi, Chi)
     assert flags.any()
     for i in range(len(Phi)):
@@ -542,8 +565,7 @@ def test_stacked_classify_matches_single_zeros(name, monkeypatch):
 def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
     # the search's candidates: near-zeros, scattered along the continuum
-    Phi, Chi, _, creeping = _alternated(W, 40, 53)
-    Phi[creeping], Chi[creeping], _ = zeros_mod._refine(W, Phi[creeping])
+    Phi, Chi, _ = zeros_mod._minimize(W, _starts(W, 40, 53))
     monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
     # the representatives are those of a sequential first-come dedup
     keep = []
@@ -688,23 +710,32 @@ def test_classify_refuses_uncertified_null_space(monkeypatch):
 
 @pytest.mark.parametrize("seed, creeps, continuum", [(1, False, True), (3, True, False)])
 def test_find_zeros_single_start(seed, creeps, continuum):
-    """One start: a start that stops keeps the result of
-    alternating_minimize, a creeping one takes refine_zero of it; then
-    accept and classify, as the public one-start functions do."""
+    """One start ends at _minimize of itself, bit for bit. A start that
+    stops keeps the result of alternating_minimize; a creeping one ends
+    at refine_zero of it to rounding, since the Newton finish starts
+    from the alternation's own (phi, chi, f). Then accept and classify,
+    as the public one-start functions do."""
     W = choi_lam_witness()
     rng = np.random.default_rng(seed)
     phi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     assert zeros_mod._alternate(W, phi0[None])[3][0] == creeps
+    (z,) = find_zeros(W, starts=1, seed=seed)
+    Phi, Chi, values = zeros_mod._minimize(W, phi0[None])
+    assert np.array_equal(z.phi, Phi[0]) and np.array_equal(z.chi, Chi[0])
+    assert z.value == abs(values[0])
     phi, chi, value = alternating_minimize(W, phi0)
     if creeps:
         phi, chi, value = refine_zero(W, phi)
     assert abs(value) <= 1e-9
     kind, spectrum = classify_zero(W, phi, chi)
-    (z,) = find_zeros(W, starts=1, seed=seed)
-    assert np.array_equal(z.phi, phi) and np.array_equal(z.chi, chi)
-    assert z.value == abs(value)
-    assert z.kind == kind and np.array_equal(z.hessian_spectrum, spectrum)
-    assert z.continuum == continuum
+    assert z.kind == kind and z.continuum == continuum
+    if creeps:
+        assert 1.0 - _overlap(z.phi, phi) * _overlap(z.chi, chi) <= 1e-12
+        assert abs(z.value - abs(value)) <= 1e-15 * hs_norm(W.matrix)
+    else:
+        assert np.array_equal(z.phi, phi) and np.array_equal(z.chi, chi)
+        assert z.value == abs(value)
+        assert np.array_equal(z.hessian_spectrum, spectrum)
 
 
 def test_find_zeros_no_starts():
