@@ -545,8 +545,8 @@ def test_newton_finish_converges_quadratically_at_positive_minima(monkeypatch):
 @pytest.mark.parametrize("name", WITNESSES)
 def test_stacked_classify_matches_single_zeros(name):
     W = WITNESSES[name]()
-    Phi, Chi, values = (np.array(part) for part in zip(
-        *(refine_zero(W, alternating_minimize(W, s)[0]) for s in _starts(W, 12, 52))))
+    zeros = [refine_zero(W, alternating_minimize(W, s)[0]) for s in _starts(W, 12, 52)]
+    Phi, Chi, values = (np.array(part) for part in zip(*zeros))
     found = np.abs(values) <= 1e-9 * max(1.0, hs_norm(W.matrix))
     assert found.sum() >= 5
     Phi, Chi = Phi[found], Chi[found]
