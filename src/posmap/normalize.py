@@ -53,7 +53,8 @@ class NormalizationResult:
     factors of the product conjugation, ``X`` and ``Y`` the fixed-point
     pair (Tr X = m), ``history`` the per-iteration step norms
     ``||X_{k+1} - X_k||``, ``iterations`` the number of steps taken, and
-    ``converged`` whether the final step norm reached the tolerance.
+    ``converged`` whether the final step norm reached the tolerance or
+    stopped shrinking within the rounding floor of the step.
     """
 
     witness: Witness
@@ -114,18 +115,37 @@ def _step(W: Witness, X: np.ndarray) -> np.ndarray:
     return G * (W.m / np.trace(G).real)
 
 
+def _rounding_floor(W: Witness, X: np.ndarray) -> float:
+    """Step norm that rounding alone produces at X.
+
+    A step inverts S = M(X) and T = M^T(S^{-1}), so its rounding error is
+    about eps (cond S + cond T) ||X||. A product transformation with an
+    ill-conditioned factor raises it above a small ``tol``: the step norm
+    then wanders at this floor instead of shrinking.
+
+    :raises ValueError: as :func:`_inverse_images`.
+    """
+    S_inv, G = _inverse_images(W, X)
+    return (np.finfo(float).eps * hs_norm(X)
+            * (np.linalg.cond(S_inv) + np.linalg.cond(G)))
+
+
 def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
               x0: np.ndarray = None) -> NormalizationResult:
     """Drive the witness map to (scaled) unital and trace-preserving form.
 
     Iterates the step X -> ( M^T( (M(X))^{-1} ) )^{-1}, rescaled to
     Tr X = m, from ``x0`` (default I_m) until the Hilbert-Schmidt step
-    norm ||X_{k+1} - X_k|| falls to ``tol`` or ``max_iter`` steps elapse.
-    On convergence the returned witness satisfies both normalization
-    conditions exactly at the fixed point (up to the step tolerance).
+    norm ||X_{k+1} - X_k|| falls to ``tol``, stops shrinking within the
+    rounding floor of the step (see :func:`_rounding_floor`), or
+    ``max_iter`` steps elapse. On convergence the returned witness
+    satisfies both normalization conditions exactly at the fixed point
+    (up to the final step norm).
 
     :param W: witness whose map is strictly positive on the iterates.
-    :param tol: stopping tolerance on the step norm.
+    :param tol: stopping tolerance on the step norm; a step norm that
+        no longer shrinks also stops the iteration once it is below the
+        rounding floor, however small ``tol`` is.
     :param max_iter: iteration cap; non-convergence is reported in the
         result, not raised.
     :param x0: optional positive-definite m x m start, any normalization.
@@ -154,10 +174,11 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
     for _ in range(max_iter):
         X_next = _step(W, X)
         step = hs_norm(X_next - X)
+        stalled = bool(history) and step >= history[-1]
         history.append(step)
         X = X_next
         iterations += 1
-        if step <= tol:
+        if step <= tol or (stalled and step <= _rounding_floor(W, X)):
             converged = True
             break
     S = apply_map(W, X)
