@@ -14,7 +14,6 @@ map.
 
 from .hermitian import (
     as_hermitian,
-    eig_hermitian,
     hermitian_basis,
     hs_inner,
     hs_norm,
@@ -75,8 +74,8 @@ from .sections import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "as_hermitian", "eig_hermitian", "hermitian_basis", "hs_inner",
-    "hs_norm", "inv_pd", "sqrt_psd",
+    "as_hermitian", "hermitian_basis", "hs_inner", "hs_norm", "inv_pd",
+    "sqrt_psd",
     "Witness", "apply_map", "apply_transposed_map", "biquadratic_form",
     "diagnostics", "map_matrix", "partial_trace_1", "partial_trace_2",
     "partial_transpose", "product_transform", "tensor",

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import (
-    as_hermitian,
-    eig_hermitian,
-    hermitian_basis,
-    hs_norm,
-)
+from .hermitian import as_hermitian, hermitian_basis, hs_norm
 
 __all__ = [
     "Witness",
@@ -250,8 +245,9 @@ def diagnostics(W: Witness) -> dict:
         ``||M(I/sqrt(m)) - I/sqrt(n)||`` and ``||M^T(I/sqrt(n)) - I/sqrt(m)||``.
     """
     A = W.matrix
-    spec = eig_hermitian(A)
-    spec_pt = eig_hermitian(partial_transpose(W).matrix)
+    # eigh, not eigvalsh: the two round the extreme eigenvalues differently.
+    eigs = np.linalg.eigh(A)[0]
+    eigs_pt = np.linalg.eigh(partial_transpose(W).matrix)[0]
     eye_m = np.eye(W.m) / np.sqrt(W.m)
     eye_n = np.eye(W.n) / np.sqrt(W.n)
     unital_res = hs_norm(apply_map(W, eye_m) - eye_n)
@@ -261,11 +257,11 @@ def diagnostics(W: Witness) -> dict:
         "n": W.n,
         "trace": float(np.trace(A).real),
         "hs_norm": hs_norm(A),
-        "min_eig": float(spec.eigenvalues[0]),
-        "max_eig": float(spec.eigenvalues[-1]),
-        "min_eig_pt": float(spec_pt.eigenvalues[0]),
-        "psd": bool(spec.eigenvalues[0] >= -1e-10),
-        "ppt": bool(spec_pt.eigenvalues[0] >= -1e-10),
+        "min_eig": float(eigs[0]),
+        "max_eig": float(eigs[-1]),
+        "min_eig_pt": float(eigs_pt[0]),
+        "psd": bool(eigs[0] >= -1e-10),
+        "ppt": bool(eigs_pt[0] >= -1e-10),
         "partial_trace_1": partial_trace_1(W),
         "partial_trace_2": partial_trace_2(W),
         "unitality_residual": unital_res,

@@ -75,14 +75,6 @@ def at_least(lo: int):
     return parse
 
 
-def positive_float(text: str) -> float:
-    """Argument type of tolerances: a finite number > 0."""
-    value = float(text)
-    if not (value > 0.0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
 def _load_witness(args) -> Witness:
     if args.input:
         try:
@@ -121,7 +113,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_normalize(args) -> int:
     W = _load_witness(args)
-    result = normalize(W, tol=args.tol, max_iter=args.max_iter)
+    result = normalize(W, max_iter=args.max_iter)
     _emit(normalization_to_json(result), args.output)
     if not result.converged:
         print(f"did not converge within {args.max_iter} iterations",
@@ -133,7 +125,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_zeros(args) -> int:
     W = _load_witness(args)
     seed = _resolve_seed(args.seed)
-    zeros = find_zeros(W, starts=args.starts, seed=seed, tol=args.tol)
+    zeros = find_zeros(W, starts=args.starts, seed=seed)
     _emit(zeros_to_json(zeros), args.output)
     return 0
 
@@ -205,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize",
                        help="transform to unital, trace preserving form")
     _add_witness_source(p)
-    p.add_argument("--tol", type=positive_float, default=1e-12)
     p.add_argument("--max-iter", type=at_least(1), default=200)
     p.add_argument("--output", help="result JSON path (default stdout)")
     p.set_defaults(func=_cmd_normalize)
@@ -214,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_witness_source(p)
     p.add_argument("--starts", type=at_least(1), default=500)
     p.add_argument("--seed", type=at_least(0), default=42)
-    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--output", help="zeros JSON path (default stdout)")
     p.set_defaults(func=_cmd_zeros)
 

@@ -7,7 +7,7 @@ inverses of definite matrices, and the orthonormal Hermitian basis used to
 write maps as real matrices.
 """
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 
@@ -17,19 +17,6 @@ HERM_TOL = 1e-8
 PSD_CLAMP_TOL = 1e-10
 # Relative floor below which a positive matrix is considered singular.
 PD_EPS = 1e-12
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` is real and ascending; ``eigenvectors[:, i]`` is the
-    unit eigenvector for ``eigenvalues[i]``, so
-    ``eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T``
-    reconstructs the matrix.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_hermitian(entries) -> np.ndarray:
@@ -49,8 +36,8 @@ def as_hermitian(entries) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("matrix has an entry that is not finite")
     herm = (X + X.conj().T) / 2.0
-    skew = np.linalg.norm(X - herm)
-    scale = max(1.0, np.linalg.norm(X))
+    skew = hs_norm(X - herm)
+    scale = max(1.0, hs_norm(X))
     if skew > HERM_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: anti-Hermitian norm {skew:.3e} "
@@ -69,26 +56,23 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def hs_norm(X: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm ``sqrt(Tr(X^2))``."""
-    return float(np.linalg.norm(X))
+    """Hilbert-Schmidt (Frobenius) norm ``sqrt(Tr(X^2))``.
 
-
-def eig_hermitian(X: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    :param X: Hermitian matrix.
-    :return: :class:`Spectrum` with real ascending eigenvalues and a
-        unitary eigenvector frame.
-    :raises np.linalg.LinAlgError: if the eigensolver fails to converge
-        (the message names the failing matrix size).
+    The plain sum of squares comes out 0 for a nonzero X whose entries
+    all lie below about 1e-162, and inf once an entry exceeds about
+    1e154; then the norm is taken of |X_ij| / max|X_ij| and scaled back,
+    so it is inf only where the norm itself exceeds the float range.
     """
-    try:
-        vals, vecs = np.linalg.eigh(X)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed on a {X.shape[0]}x{X.shape[1]} matrix: {exc}"
-        ) from exc
-    return Spectrum(vals, vecs)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(X))
+    if norm == 0.0 or not math.isfinite(norm):
+        # Real division: the reciprocal of a subnormal, which a complex
+        # quotient forms, overflows.
+        mags = np.abs(X)
+        big = float(mags.max(initial=0.0))
+        if 0.0 < big < math.inf:
+            norm = big * float(np.linalg.norm(mags / big))
+    return norm
 
 
 def sqrt_psd(X: np.ndarray) -> np.ndarray:

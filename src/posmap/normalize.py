@@ -40,6 +40,8 @@ __all__ = [
     "contraction_spectrum",
 ]
 
+# Step norm ||X_{k+1} - X_k|| at which normalize stops, converged.
+STEP_TOL = 1e-12
 # Relative tolerance on the step residual of a fixed point handed to
 # :func:`contraction_spectrum`.
 FIXED_POINT_TOL = 1e-8
@@ -53,7 +55,7 @@ class NormalizationResult:
     factors of the product conjugation, ``X`` and ``Y`` the fixed-point
     pair (Tr X = m), ``history`` the per-iteration step norms
     ``||X_{k+1} - X_k||``, ``iterations`` the number of steps taken, and
-    ``converged`` whether the final step norm reached the tolerance or
+    ``converged`` whether the final step norm reached :data:`STEP_TOL` or
     stopped shrinking within the rounding floor of the step.
     """
 
@@ -103,49 +105,25 @@ def _inverse_images(W: Witness, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S_inv, G
 
 
-def _step(W: Witness, X: np.ndarray) -> np.ndarray:
-    """One step of the fixed-point iteration, gauge-rescaled to Tr = m.
-
-    X -> ( M^T( (M(X))^{-1} ) )^{-1}, then rescaled. Requires M(X) and
-    the subsequent transposed image to be positive definite.
-
-    :raises ValueError: as :func:`_inverse_images`.
-    """
-    _, G = _inverse_images(W, X)
-    return G * (W.m / np.trace(G).real)
-
-
-def _rounding_floor(W: Witness, X: np.ndarray) -> float:
-    """Step norm that rounding alone produces at X.
-
-    A step inverts S = M(X) and T = M^T(S^{-1}), so its rounding error is
-    about eps (cond S + cond T) ||X||. A product transformation with an
-    ill-conditioned factor raises it above a small ``tol``: the step norm
-    then wanders at this floor instead of shrinking.
-
-    :raises ValueError: as :func:`_inverse_images`.
-    """
-    S_inv, G = _inverse_images(W, X)
-    return (np.finfo(float).eps * hs_norm(X)
-            * (np.linalg.cond(S_inv) + np.linalg.cond(G)))
-
-
-def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
+def normalize(W: Witness, max_iter: int = 200,
               x0: np.ndarray = None) -> NormalizationResult:
     """Drive the witness map to (scaled) unital and trace-preserving form.
 
     Iterates the step X -> ( M^T( (M(X))^{-1} ) )^{-1}, rescaled to
     Tr X = m, from ``x0`` (default I_m) until the Hilbert-Schmidt step
-    norm ||X_{k+1} - X_k|| falls to ``tol``, stops shrinking within the
-    rounding floor of the step (see :func:`_rounding_floor`), or
-    ``max_iter`` steps elapse. On convergence the returned witness
-    satisfies both normalization conditions exactly at the fixed point
-    (up to the final step norm).
+    norm ||X_{k+1} - X_k|| falls to :data:`STEP_TOL`, stops shrinking
+    within the rounding floor of the step, or ``max_iter`` steps elapse.
+    A step inverts S = M(X) and T = M^T(S^{-1}), so its rounding error is
+    about eps (cond S + cond T) ||X||; a product transformation with an
+    ill-conditioned factor raises this floor above :data:`STEP_TOL`, and
+    the step norm then wanders at the floor instead of shrinking. Each
+    iterate X inverts its images once: the pair (S^{-1}, G) of
+    :func:`_inverse_images` gives the next step, the floor at X and, at
+    the last iterate, Y. On convergence the returned witness satisfies
+    both normalization conditions exactly at the fixed point (up to the
+    final step norm).
 
     :param W: witness whose map is strictly positive on the iterates.
-    :param tol: stopping tolerance on the step norm; a step norm that
-        no longer shrinks also stops the iteration once it is below the
-        rounding floor, however small ``tol`` is.
     :param max_iter: iteration cap; non-convergence is reported in the
         result, not raised.
     :param x0: optional positive-definite m x m start, any normalization.
@@ -168,27 +146,27 @@ def normalize(W: Witness, tol: float = 1e-12, max_iter: int = 200,
                 f"x0 must be a Hermitian positive-definite {m} x {m} matrix: {exc}"
             ) from exc
         X = X * (m / np.trace(X).real)
+    S_inv, G = _inverse_images(W, X)
     history = []
     converged = False
-    iterations = 0
     for _ in range(max_iter):
-        X_next = _step(W, X)
+        X_next = G * (m / np.trace(G).real)
         step = hs_norm(X_next - X)
         stalled = bool(history) and step >= history[-1]
         history.append(step)
         X = X_next
-        iterations += 1
-        if step <= tol or (stalled and step <= _rounding_floor(W, X)):
+        S_inv, G = _inverse_images(W, X)
+        if step <= STEP_TOL or (stalled and step <= np.finfo(float).eps * hs_norm(X)
+                                * (np.linalg.cond(S_inv) + np.linalg.cond(G))):
             converged = True
             break
-    S = apply_map(W, X)
-    Y = np.sqrt(m / n) * inv_pd(S)
+    Y = np.sqrt(m / n) * S_inv
     U = sqrt_psd(X)
     V = sqrt_psd(Y)
     return NormalizationResult(
         witness=product_transform(W, U, V),
         U=U, V=V, X=X, Y=Y,
-        history=history, iterations=iterations, converged=converged,
+        history=history, iterations=len(history), converged=converged,
     )
 
 

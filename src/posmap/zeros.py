@@ -127,13 +127,20 @@ SWEEP_CAP = 50
 # Hessian eigenvalues, relative to the largest.
 NEWTON_CAP = 20
 NEWTON_FLOOR = 1e-14
-# Largest |f_A|, relative to ||A||, that classify_zero accepts as a zero.
+# Largest |f_A|, relative to ||A||, of a zero: find_zeros accepts a
+# minimum up to it and classify_zero a given pair; a minimum below
+# -ZERO_TOL * ||A|| means A is not block-positive.
 ZERO_TOL = 1e-9
 # Smallest tangent-Hessian eigenvalue, relative to ||A||, of a quadratic zero.
 HESS_TOL = 1e-7
 # Largest minimum of the reduced quartic over the unit Hessian null
 # directions, relative to ||A||, of a zero flagged as continuum.
 CONTINUUM_TOL = 1e-6
+# Factor by which ||A|| must stay below the largest float: tangent-Hessian
+# eigenvalues and reduced-quartic coefficients reach a few times ||A||,
+# and an infinite Hessian eigenvalue turns isolated zeros into continuum
+# ones.
+SCALE_HEADROOM = 2.0 ** 10
 # Singular values above this share of the largest count toward a
 # constraint rank.
 RANK_TOL = 1e-10
@@ -155,6 +162,21 @@ GAP_SHARE = 0.1
 # elementwise, and stacked einsum, qr and eigh (for tangent Hessians,
 # for other sizes, and for the rows that _smallest3 leaves to LAPACK by
 # GAP_SHARE) reproduce their per-matrix results.
+
+
+def _vector(v, k: int, name: str) -> np.ndarray:
+    """``v`` as a complex vector of length k, nonzero and finite.
+
+    :raises ValueError: naming ``name`` if v has another shape, an entry
+        that is not finite, or no nonzero entry.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (k,):
+        raise ValueError(f"expected {name} of shape ({k},), got {v.shape}")
+    if not (np.isfinite(v).all() and v.any()):
+        raise ValueError(f"{name} must be a nonzero vector with finite "
+                         f"entries, got {v.tolist()}")
+    return v
 
 
 def _outer(V: np.ndarray) -> np.ndarray:
@@ -344,8 +366,9 @@ def alternating_minimize(W: Witness,
     :param phi0: starting vector on the m side, any nonzero norm.
     :return: (phi, chi, value) with unit vectors, phases canonicalized,
         and value f_A at the last sweep's point.
+    :raises ValueError: if ``phi0`` is not a nonzero finite m-vector.
     """
-    Phi, Chi, values, _ = _alternate(W, np.asarray(phi0, dtype=complex)[None])
+    Phi, Chi, values, _ = _alternate(W, _vector(phi0, W.m, "phi0")[None])
     return (_canonical_phase(Phi)[0], _canonical_phase(Chi)[0],
             float(values[0]))
 
@@ -491,9 +514,10 @@ def refine_zero(W: Witness,
     :param phi: approximate zero, m side (any nonzero norm); the chi
         side is recomputed as the minimal eigenvector at each step.
     :return: (phi, chi, value), unit vectors with canonical phases.
-    :raises ValueError: if W is zero.
+    :raises ValueError: if ``phi`` is not a nonzero finite m-vector, or
+        if W is zero.
     """
-    Phi = _normalized(np.asarray(phi, dtype=complex)[None])
+    Phi = _normalized(_vector(phi, W.m, "phi")[None])
     Phi, Chi, values, _ = _newton(W, Phi, *_chi_step(W, Phi))
     return _canonical_phase(Phi)[0], _canonical_phase(Chi)[0], float(values[0])
 
@@ -571,12 +595,18 @@ def _circle_min(samples: np.ndarray) -> np.ndarray:
 def _scale(W: Witness) -> float:
     """||A||, the scale of every zero tolerance; a zero witness has none.
 
-    :raises ValueError: if A = 0, where every product vector is a zero.
+    :raises ValueError: if A = 0, where every product vector is a zero,
+        or if ||A|| comes within :data:`SCALE_HEADROOM` of the largest
+        float, where the search's Hessians overflow.
     """
     scale = hs_norm(W.matrix)
     if scale == 0.0:
         raise ValueError("the witness is zero: every product vector is a "
                          "zero, so there are none to search or classify")
+    if scale * SCALE_HEADROOM == np.inf:
+        raise ValueError(f"the witness norm {scale:.3e} leaves the float range "
+                         f"of the zero search: it must stay below "
+                         f"{np.finfo(float).max / SCALE_HEADROOM:.3e}")
     return scale
 
 
@@ -642,12 +672,13 @@ def classify_zero(W: Witness, phi: np.ndarray,
     :param phi: unit vector, m side.
     :param chi: unit vector, n side.
     :return: (kind, ascending Hessian eigenvalues).
-    :raises ValueError: if W is zero, if |f_A(phi, chi)| exceeds
-        :data:`ZERO_TOL` * ||A||, or if the continuum certificate of
-        :func:`find_zeros` cannot be decided at the zero.
+    :raises ValueError: if ``phi`` or ``chi`` is not a nonzero finite
+        vector of its side's length, if W is zero, if |f_A(phi, chi)|
+        exceeds :data:`ZERO_TOL` * ||A||, or if the continuum certificate
+        of :func:`find_zeros` cannot be decided at the zero.
     """
-    Phi = np.asarray(phi, dtype=complex)[None]
-    Chi = np.asarray(chi, dtype=complex)[None]
+    Phi = _vector(phi, W.m, "phi")[None]
+    Chi = _vector(chi, W.n, "chi")[None]
     value = abs(biquadratic_form(W, Phi, Chi)[0])
     if value > ZERO_TOL * _scale(W):
         raise ValueError(
@@ -685,8 +716,7 @@ def _merge(Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
-               tol: float = 1e-9) -> list:
+def find_zeros(W: Witness, starts: int = 500, seed: int = 42) -> list:
     """Search for zeros from random starts, deduplicate, and classify.
 
     Runs the alternation of :func:`alternating_minimize` (at most
@@ -699,9 +729,10 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :func:`_minimize` of itself alone: a stopped start at
     ``alternating_minimize(W, start)``, a creeping one at
     ``refine_zero(W, alternating_minimize(W, start)[0])`` to rounding.
-    The search then keeps results with value at most ``tol * ||A||``,
-    merges candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>|
-    exceeds 1 - :data:`DEDUP_TOL` (keeping the lowest value), and
+    The search then keeps results with |value| at most
+    :data:`ZERO_TOL` * ||A||, the bound of :func:`classify_zero`, merges
+    candidates whose overlap |<phi_i, phi_j>| |<chi_i, chi_j>| exceeds
+    1 - :data:`DEDUP_TOL` (keeping the lowest value), and
     classifies each survivor, certifying its continuum flag from its own
     reduced quartic (:class:`ProductZero`), so the flag does not depend
     on the other zeros found. Every phase runs once over the stack of
@@ -710,28 +741,28 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42,
     :param W: witness.
     :param starts: number of random starting vectors (0 finds nothing).
     :param seed: RNG seed for the starts.
-    :param tol: relative acceptance threshold on the minimized value.
     :return: list of :class:`ProductZero`, values ascending.
-    :raises ValueError: if ``starts`` is negative or W is zero.
+    :raises ValueError: if ``starts`` is negative, if W is zero, or if
+        ||A|| comes within :data:`SCALE_HEADROOM` of the largest float.
     :raises NotBlockPositiveError: if a finished start has a value below
-        ``-tol * ||A||``; it carries the lowest such start.
+        -:data:`ZERO_TOL` * ||A||; it carries the lowest such start.
     :raises ValueError: if a zero has three or more Hessian null
         directions and its reduced quartic does not vanish on the two
         lowest (see :func:`_classify`).
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
-    scale = _scale(W)
+    tol = ZERO_TOL * _scale(W)
     rng = np.random.default_rng(seed)
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
     Phi, Chi, values = _minimize(W, draws[:, 0] + 1j * draws[:, 1])
     # A negative minimum is no zero: the input is not a witness.
-    if starts and values.min() < -tol * scale:
+    if starts and values.min() < -tol:
         low = int(np.argmin(values))
         raise NotBlockPositiveError(Phi[low], Chi[low], float(values[low]))
     values = np.abs(values)
-    accepted = np.flatnonzero(values <= tol * scale)
+    accepted = np.flatnonzero(values <= tol)
     if not accepted.size:
         return []
     # The lowest value of each overlap class represents it.
@@ -785,9 +816,15 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     :param W: witness.
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
     :return: :class:`ConstraintSystem`.
-    :raises ValueError: as :func:`constraint_rows`.
+    :raises ValueError: if a pair's phi is not an m-vector or its chi
+        not an n-vector.
     """
     pairs = [(z.phi, z.chi) if isinstance(z, ProductZero) else z for z in zeros]
+    for phi, chi in pairs:
+        if np.shape(phi) != (W.m,) or np.shape(chi) != (W.n,):
+            raise ValueError(f"expected phi of shape ({W.m},) and chi of shape "
+                             f"({W.n},) in each pair, got {np.shape(phi)} and "
+                             f"{np.shape(chi)}")
     Phi = np.array([phi for phi, _ in pairs] or np.empty((0, W.m)), dtype=complex)
     Chi = np.array([chi for _, chi in pairs] or np.empty((0, W.n)), dtype=complex)
     rows = constraint_rows(W, Phi, Chi)

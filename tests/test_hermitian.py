@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from posmap.hermitian import (as_hermitian, eig_hermitian, hermitian_basis,
-                              hs_inner, hs_norm, inv_pd, sqrt_psd)
+from posmap.hermitian import (as_hermitian, hermitian_basis, hs_inner, hs_norm,
+                              inv_pd, sqrt_psd)
 
 
 def _random_hermitian(rng, k):
@@ -89,9 +91,21 @@ def test_inv_pd_rejects_indefinite():
         inv_pd(np.diag([1.0, -0.5]))
 
 
-def test_eig_sorted_ascending():
-    spec = eig_hermitian(np.diag([3.0, -1.0, 2.0]))
-    assert np.abs(spec.eigenvalues - np.array([-1.0, 2.0, 3.0])).max() < 1e-14
+@pytest.mark.parametrize("c", [2.0 ** -600, 2.0 ** 600, 2.0 ** -1060])
+def test_hs_norm_survives_under_and_overflow(c):
+    """The sum of squares underflows at 2^-600 and 2^-1060 (subnormal
+    entries) and overflows at 2^600; the norm still scales exactly."""
+    X = np.array([[3.0, 4.0j], [-4.0j, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hs_norm(c * X) == c * hs_norm(X)
+
+
+def test_hs_norm_zero_and_beyond_float_range():
+    assert hs_norm(np.zeros((3, 3))) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hs_norm(np.full((2, 2), 1e308)) == np.inf
 
 
 @settings(max_examples=25, deadline=None)

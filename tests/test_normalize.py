@@ -9,7 +9,7 @@ from posmap.bipartite import (Witness, apply_map, apply_transposed_map, diagnost
                               map_matrix, partial_transpose, product_transform, tensor)
 from posmap.builtin import choi_lam_witness, horodecki_2x4_witness, identity_witness
 from posmap.hermitian import hermitian_basis
-from posmap.normalize import _step, contraction_spectrum, normalize
+from posmap.normalize import _inverse_images, contraction_spectrum, normalize
 
 
 def _random_cp_witness(rng, m, n, terms=4):
@@ -46,7 +46,8 @@ def test_horodecki_normalization():
     assert d["trace_preservation_residual"] < 1e-10
     # fixed point of the iteration, normalized to Tr X = m
     assert abs(np.trace(res.X).real - 2.0) < 1e-12
-    assert np.abs(_step(horodecki_2x4_witness(), res.X) - res.X).max() < 1e-10
+    G = _inverse_images(horodecki_2x4_witness(), res.X)[1]
+    assert np.abs(G * (2.0 / np.trace(G).real) - res.X).max() < 1e-10
 
 
 def test_normalize_random_cp():
@@ -98,7 +99,7 @@ def test_iterate_step_rejects_indefinite_image():
     # the transposition witness map sends some PD inputs to singular images
     W = Witness(2, 2, -np.eye(4))
     with pytest.raises(ValueError):
-        _step(W, np.eye(2))
+        _inverse_images(W, np.eye(2))
 
 
 def test_rank_decreasing_map_has_no_normal_form():

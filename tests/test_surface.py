@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 import posmap
 from posmap import cli, sections
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 # Every submodule but __main__, which runs the CLI when imported.
 MODULES = ["posmap"] + [f"posmap.{info.name}"
@@ -58,10 +60,23 @@ def test_defaulted_parameter_budget():
                 if inspect.isfunction(getattr(posmap, name))
                 for param in inspect.signature(getattr(posmap, name)).parameters.values()
                 if param.default is not inspect.Parameter.empty]
-    assert len(defaults) == 18, defaults
+    assert len(defaults) == 16, defaults
 
 
 def test_cli_section_types_are_the_sections_table():
     section = cli.build_parser()._subparsers._group_actions[0].choices["section"]
     (action,) = [a for a in section._actions if a.dest == "type"]
     assert action.choices is sections.SECTION_TYPES
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag that README's CLI section names is an option of some
+    subcommand, so the docs cannot keep a flag the parser dropped."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices.values()
+    accepted = {flag for sub in subparsers for action in sub._actions
+                for flag in action.option_strings}
+    assert named, "README's CLI section names no flags"
+    assert not named - accepted, sorted(named - accepted)

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,28 @@ def test_classify_quadratic_zero():
     assert np.abs(spec - 2.0).max() < 1e-12
 
 
+_E0 = np.eye(3)[0]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda W, v: alternating_minimize(W, v), "phi0"),
+    (lambda W, v: refine_zero(W, v), "phi"),
+    (lambda W, v: classify_zero(W, v, _E0), "phi"),
+    (lambda W, v: classify_zero(W, _E0, v), "chi"),
+], ids=["alternating_minimize", "refine_zero", "classify_zero-phi", "classify_zero-chi"])
+@pytest.mark.parametrize("v", [np.zeros(3), np.ones(6), np.ones(2),
+                               np.array([np.nan, 1.0, 0.0])],
+                         ids=["zero", "long", "short", "nan"])
+def test_one_zero_entry_points_name_bad_vectors(call, name, v):
+    """A zero, non-finite or wrong-length vector is refused with a
+    ValueError naming the argument, without a numpy warning, instead of a
+    LinAlgError or a failed reshape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^(expected {name} of shape|{name} must be)"):
+            call(choi_lam_witness(), v)
+
+
 def test_classify_rejects_non_zero():
     W = choi_lam_witness()
     e = np.eye(3)
@@ -165,6 +190,14 @@ def test_constraint_rows_reject_mismatched_shapes(phi, chi):
     if phi.ndim == chi.ndim == 1:
         with pytest.raises(ValueError, match="expected phi of shape"):
             constraint_rank(W, [(phi, chi)])
+
+
+def test_constraint_rank_names_phi_of_mixed_lengths():
+    """Pairs whose phi lengths differ are refused by posmap's shape check,
+    not by numpy's stacking of a ragged list."""
+    e0 = np.eye(3)[0]
+    with pytest.raises(ValueError, match="^expected phi of shape"):
+        constraint_rank(choi_lam_witness(), [(e0, e0), (np.ones(6), e0)])
 
 
 def test_constraint_rank_printed_zeros():
@@ -767,17 +800,35 @@ def test_tolerances_scale_with_the_witness():
     assert find_zeros(Witness(3, 3, 1e-10 * np.eye(9) / 9), starts=10, seed=1) == []
 
 
-@pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** 10])
+@pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** 10, 2.0 ** -600, 2.0 ** 600])
 def test_find_zeros_invariant_under_power_of_two_scale(c):
-    """Scaling A by a power of two scales every value exactly, so the
-    zeros, kinds and flags must match the unscaled search bit for bit."""
+    """Scaling A by a power of two keeps the zero count and the multiset
+    of kinds and continuum flags. At 2^-40 and 2^10 every value scales
+    exactly, so the zeros match bit for bit. At 2^-600 the squares of
+    the entries underflow and at 2^600 they overflow: ||A|| must still
+    come out right, and the closed-form eigenpairs, whose cubic terms
+    overflow, defer to LAPACK, so only the bits may move."""
     W = choi_lam_witness()
     base = find_zeros(W, starts=50, seed=42)
-    scaled = find_zeros(Witness(3, 3, c * W.matrix), starts=50, seed=42)
+    # The closed form's overflow at 2^600 is deferred, not an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = find_zeros(Witness(3, 3, c * W.matrix), starts=50, seed=42)
     assert len(scaled) == len(base)
-    for z, y in zip(scaled, base):
-        assert np.array_equal(z.phi, y.phi) and np.array_equal(z.chi, y.chi)
-        assert (z.kind, z.continuum) == (y.kind, y.continuum)
+    assert (Counter((z.kind, z.continuum) for z in scaled)
+            == Counter((z.kind, z.continuum) for z in base))
+    if 2.0 ** -100 < c < 2.0 ** 100:
+        for z, y in zip(scaled, base):
+            assert np.array_equal(z.phi, y.phi) and np.array_equal(z.chi, y.chi)
+            assert (z.kind, z.continuum) == (y.kind, y.continuum)
+
+
+def test_find_zeros_refuses_norm_near_float_max():
+    """At 1e308 choi-lam ||A|| = 1.7e308 is finite, but the tangent
+    Hessians overflow and every zero would read as continuum; the search
+    refuses the witness instead of accepting every start."""
+    W = Witness(3, 3, 1e308 * choi_lam_witness().matrix)
+    with pytest.raises(ValueError, match="float range"):
+        find_zeros(W, starts=20, seed=42)
 
 
 def _max_entangled_witness():
