@@ -807,7 +807,7 @@ def test_find_zeros_invariant_under_power_of_two_scale(c):
     exactly, so the zeros match bit for bit. At 2^-600 the squares of
     the entries underflow and at 2^600 they overflow: ||A|| must still
     come out right, and the closed-form eigenpairs, whose cubic terms
-    overflow, defer to LAPACK, so only the bits may move."""
+    leave the float range, defer to LAPACK, so only the bits may move."""
     W = choi_lam_witness()
     base = find_zeros(W, starts=50, seed=42)
     # The closed form's overflow at 2^600 is deferred, not an error.
@@ -823,9 +823,9 @@ def test_find_zeros_invariant_under_power_of_two_scale(c):
 
 
 def test_find_zeros_refuses_norm_near_float_max():
-    """At 1e308 choi-lam ||A|| = 1.7e308 is finite, but the tangent
-    Hessians overflow and every zero would read as continuum; the search
-    refuses the witness instead of accepting every start."""
+    """At 1e308 choi-lam ||A|| = 1.7e308 is finite, but tangent-Hessian
+    eigenvalues overflow and the isolated zeros would be lost; the search
+    refuses the witness instead of reporting a wrong zero set."""
     W = Witness(3, 3, 1e308 * choi_lam_witness().matrix)
     with pytest.raises(ValueError, match="float range"):
         find_zeros(W, starts=20, seed=42)
