@@ -7,6 +7,7 @@ the target directory followed by an atomic rename, so a failed run
 leaves no partial output behind.
 """
 
+import functools
 import json
 import os
 import tempfile
@@ -99,10 +100,6 @@ def hermitian_from_obj(obj) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def _vector_to_obj(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
 # =============================================================================
 # Witness files
 # =============================================================================
@@ -138,18 +135,55 @@ def witness_from_json(text: str) -> Witness:
 # Result documents
 # =============================================================================
 
+@functools.cache
+def _zero_layout(m: int, n: int, dim: int) -> str:
+    """The ``%``-layout of one zero object of a zeros document, as
+    :func:`_dumps` indents it inside the list: ``%r`` for each float and
+    ``%s`` for ``continuum`` and ``kind``, in sorted-key order (chi pairs,
+    continuum, the dim spectrum values, kind, phi pairs, value)."""
+    pair = ["%r", "%r"]
+    template = {"chi": [pair] * n, "continuum": "%s",
+                "hessian_spectrum": ["%r"] * dim, "kind": "%s",
+                "phi": [pair] * m, "value": "%r"}
+    text = json.dumps([template], indent=2, sort_keys=True)
+    return text[2:-2].replace('"%r"', "%r").replace('"%s"', "%s")
+
+
 def zeros_to_json(zeros: list[ProductZero]) -> str:
-    return _dumps([
-        {
-            "phi": _vector_to_obj(z.phi),
-            "chi": _vector_to_obj(z.chi),
-            "value": float(z.value),
-            "kind": z.kind,
-            "hessian_spectrum": [float(v) for v in z.hessian_spectrum],
-            "continuum": bool(z.continuum),
-        }
-        for z in zeros
-    ])
+    """The zeros document, bytes as :func:`_dumps` of the list of zero
+    objects writes them.
+
+    The floats of all zeros are stacked into one array and converted
+    once; each zero then fills the layout of :func:`_zero_layout`, whose
+    ``%r`` is the shortest round-trip repr that json writes.
+
+    :raises ValueError: if the zeros differ in their vector or spectrum
+        lengths, or if an entry is not finite: json would write NaN or
+        Infinity, which :func:`hermitian_from_obj` refuses.
+    """
+    if not zeros:
+        return _dumps([])
+    try:
+        phi = np.array([z.phi for z in zeros], dtype=complex)
+        chi = np.array([z.chi for z in zeros], dtype=complex)
+        spectra = np.array([z.hessian_spectrum for z in zeros], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"zeros of one document must share their shapes: {exc}") from exc
+    m, n, dim = phi.shape[1], chi.shape[1], spectra.shape[1]
+    values = np.array([z.value for z in zeros], dtype=float)[:, None]
+    # Sorted-key order; a complex row read as floats is its [re, im] pairs.
+    floats = np.concatenate([chi.view(float), spectra, phi.view(float), values], axis=1)
+    bad = np.flatnonzero(~np.isfinite(floats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"zero {bad[0]} has an entry that is not finite")
+    layout = _zero_layout(m, n, dim)
+    kinds = {kind: json.dumps(kind) for kind in {z.kind for z in zeros}}
+    cut = 2 * n
+    mid = cut + dim
+    items = [layout % (*row[:cut], "true" if z.continuum else "false",
+                       *row[cut:mid], kinds[z.kind], *row[mid:])
+             for z, row in zip(zeros, floats.tolist())]
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def normalization_to_json(result: NormalizationResult) -> str:

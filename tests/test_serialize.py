@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from posmap.bipartite import Witness, diagnostics
-from posmap.builtin import choi_lam_witness, ring_points
+from posmap.builtin import (choi_lam_witness, horodecki_2x4_witness,
+                            identity_witness, ring_points)
 from posmap.normalize import normalize
 from posmap.sections import scan_boundary, section_of_type
 from posmap.serialize import (FormatError, atomic_write, curves_to_csv,
@@ -14,7 +15,7 @@ from posmap.serialize import (FormatError, atomic_write, curves_to_csv,
                               render_section_svg, rings_to_csv,
                               witness_from_json, witness_to_json,
                               zeros_to_json)
-from posmap.zeros import find_zeros
+from posmap.zeros import ProductZero, find_zeros
 
 
 def test_witness_json_roundtrip():
@@ -95,6 +96,57 @@ def test_zeros_json_structure():
     z0 = obj[0]
     assert set(z0) >= {"phi", "chi", "value", "kind", "hessian_spectrum", "continuum"}
     assert all(len(pair) == 2 for pair in z0["phi"])
+
+
+def _zeros_oracle(zeros):
+    """The zeros document as json writes the list of zero objects."""
+    pairs = lambda v: [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return json.dumps([
+        {
+            "phi": pairs(z.phi),
+            "chi": pairs(z.chi),
+            "value": float(z.value),
+            "kind": z.kind,
+            "hessian_spectrum": [float(v) for v in z.hessian_spectrum],
+            "continuum": bool(z.continuum),
+        }
+        for z in zeros
+    ], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("witness, starts, seed", [
+    (choi_lam_witness, 500, 42),
+    (horodecki_2x4_witness, 200, 11),
+    (lambda: identity_witness(3), 50, 42),
+    (choi_lam_witness, 0, 42),
+])
+def test_zeros_json_matches_json_oracle(witness, starts, seed):
+    zeros = find_zeros(witness(), starts=starts, seed=seed)
+    assert zeros_to_json(zeros) == _zeros_oracle(zeros)
+
+
+@pytest.mark.parametrize("entry", ["phi", "chi", "value", "hessian_spectrum"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zeros_json_refuses_non_finite(entry, bad):
+    """json would write NaN or Infinity, which witness_from_json refuses."""
+    (z,) = find_zeros(choi_lam_witness(), starts=1, seed=3)
+    fields = {"phi": z.phi.copy(), "chi": z.chi.copy(), "value": z.value,
+              "hessian_spectrum": z.hessian_spectrum.copy()}
+    if entry == "value":
+        fields["value"] = bad
+    else:
+        fields[entry][1] = bad
+    broken = ProductZero(kind=z.kind, continuum=z.continuum, **fields)
+    with pytest.raises(ValueError, match="zero 1 has an entry that is not finite"):
+        zeros_to_json([z, broken])
+
+
+def test_zeros_json_refuses_mixed_shapes():
+    """A zeros document holds the zeros of one witness."""
+    zeros = (find_zeros(choi_lam_witness(), starts=1, seed=3)
+             + find_zeros(horodecki_2x4_witness(), starts=5, seed=3)[:1])
+    with pytest.raises(ValueError, match="must share their shapes"):
+        zeros_to_json(zeros)
 
 
 def test_normalization_json_structure():
