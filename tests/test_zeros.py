@@ -595,6 +595,59 @@ def test_stacked_classify_matches_single_zeros(name):
         assert np.abs(spectra[i] - reference).max() <= 1e-6
 
 
+def _hessian_reference(W, Phi, Chi, D_phi, D_chi, a):
+    """_hessian's terms as three-operand einsums."""
+    gram = np.einsum("zpi,ij,zqj->zpq", a.conj(), W.matrix, a)
+    cross = np.einsum("zi,zj,ijkl->zkl", Phi.conj(), Chi.conj(), W.blocks)
+    S = gram + 2.0 * np.einsum("zkl,zpk,zql->zpq", cross, D_phi, D_chi)
+    return (S + S.swapaxes(-1, -2)).real
+
+
+def _reduced_quartic_reference(W, D_phi, D_chi, a, root, d):
+    """_reduced_quartic with the gradient's cross terms as three-operand
+    einsums."""
+    count, s = d.shape[:2]
+    m, n = D_phi.shape[-1], D_chi.shape[-1]
+    u, v, a_d = d @ D_phi, d @ D_chi, d @ a
+    b = (u[..., :, None] * v[..., None, :]).reshape(count, s, m * n)
+    Ab = b @ W.matrix.T
+    Aa = (a_d @ W.matrix.T).reshape(count, s, m, n).conj()
+    g = 2.0 * (np.einsum("zsi,zpi->zsp", Ab.conj(), a)
+               + np.einsum("zsij,zsi,zpj->zsp", Aa, u, D_chi)
+               + np.einsum("zsij,zpi,zsj->zsp", Aa, D_phi, v)).real
+    return (np.einsum("zsi,zsi->zs", b.conj(), Ab).real
+            - 0.5 * np.square(g @ root).sum(axis=-1))
+
+
+def _interior_2x4_witness():
+    rng = np.random.default_rng(57)
+    return Witness(2, 4, 0.3 * np.eye(8) / 8 + 0.7 * _random_cp_witness(rng, 2, 4).matrix)
+
+
+@pytest.mark.parametrize("make", [choi_lam_witness, horodecki_2x4_witness,
+                                  _interior_2x4_witness])
+def test_pairwise_contractions_match_three_operand_einsums(make):
+    """_hessian and _reduced_quartic contract two operands at a time; they
+    agree with the three-operand einsums to rounding, at any point of the
+    product manifold and for orthonormal H^+ roots and unit directions."""
+    W = make()
+    rng = np.random.default_rng(58)
+    Phi = zeros_mod._normalized(_starts(W, 30, 59))
+    Chi = zeros_mod._normalized(rng.normal(size=(30, W.n)) + 1j * rng.normal(size=(30, W.n)))
+    D_phi, D_chi, a = zeros_mod._variations(Phi, Chi)
+    tol = 1e-14 * hs_norm(W.matrix)
+    H = zeros_mod._hessian(W, Phi, Chi, D_phi, D_chi, a)
+    assert np.array_equal(H, H.swapaxes(-1, -2))
+    assert np.abs(H - _hessian_reference(W, Phi, Chi, D_phi, D_chi, a)).max() <= tol
+    dim = a.shape[1]
+    root = np.linalg.qr(rng.normal(size=(30, dim, dim)))[0]
+    frame = np.linalg.qr(rng.normal(size=(30, dim, 2)))[0]
+    circle = np.stack([np.cos(zeros_mod._CIRCLE), np.sin(zeros_mod._CIRCLE)], axis=1)
+    d = circle @ frame.swapaxes(-1, -2)
+    q = zeros_mod._reduced_quartic(W, D_phi, D_chi, a, root, d)
+    assert np.abs(q - _reduced_quartic_reference(W, D_phi, D_chi, a, root, d)).max() <= tol
+
+
 def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
     # the search's candidates: near-zeros, scattered along the continuum
