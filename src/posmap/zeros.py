@@ -200,6 +200,10 @@ def _normalized(V: np.ndarray) -> np.ndarray:
     return V / _norms(V)[..., None]
 
 
+# Entries beyond about 1e150 overflow the closed form's squares and
+# cubes; those rows come out NaN and go to LAPACK, so the warnings of
+# the overflow and of the NaN arithmetic after it are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _smallest3(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue and its unit eigenvector of each matrix of a
     stack of 3 x 3 Hermitian matrices, read from the lower triangle as
