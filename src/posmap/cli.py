@@ -7,7 +7,6 @@ byte-identical output files; POSMAP_SEED in the environment overrides
 """
 
 import argparse
-import functools
 import os
 import sys
 
@@ -184,12 +183,7 @@ def _cmd_rings(args) -> int:
 # Parser and entry point
 # =============================================================================
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: parsing
-    leaves it unchanged, and building it takes about a millisecond, a
-    sixth of a small normalize job. The builtin constructors are still
-    looked up per job, through :data:`BUILTINS`."""
     defaults = builtins_mod.RingParams()
     parser = argparse.ArgumentParser(
         prog="posmap",

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import posmap
-from posmap import cli
 from posmap.bipartite import Witness
 from posmap.serialize import witness_from_json, witness_to_json
 
@@ -299,15 +298,3 @@ def test_cli_deterministic_bytes(tmp_path):
     za = run_cli("zeros", "--builtin", "choi-lam", "--starts", "10", "--seed", "5")
     zb = run_cli("zeros", "--builtin", "choi-lam", "--starts", "10", "--seed", "5")
     assert za.stdout == zb.stdout
-
-
-def test_parser_built_once_and_reused(capsys):
-    """main parses every job with one parser; a job's options do not
-    carry over to the next, whose defaults hold."""
-    assert cli.build_parser() is cli.build_parser()
-    assert cli.main(["zeros", "--builtin", "choi-lam", "--starts", "3", "--seed", "5"]) == 0
-    first = capsys.readouterr().out
-    args = cli.build_parser().parse_args(["zeros", "--builtin", "choi-lam"])
-    assert (args.starts, args.seed, args.output) == (500, 42, None)
-    assert cli.main(["zeros", "--builtin", "choi-lam", "--starts", "3", "--seed", "5"]) == 0
-    assert capsys.readouterr().out == first
