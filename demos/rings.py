@@ -41,7 +41,7 @@ print("adjacent-sample chord, median vs max:",
 banner("Images drop rank exactly on the rings")
 W = posmap.horodecki_2x4_witness()
 for t in (0.0, 1.0, 2.5):
-    rho = posmap.bloch_to_state(posmap.ring_zero(t, branch=+1))
+    rho = posmap.bloch_to_state(posmap.ring_points([t], branch=+1)[0])
     sv = np.linalg.svd(posmap.apply_map(W, rho), compute_uv=False)
     print(f"theta={t}: image singular values {np.round(sv, 6)}  rank 3")
 

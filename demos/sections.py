@@ -1,9 +1,10 @@
 """Draw two dimensional sections of state space and their map images.
 
-A section plane is fixed by three states; rays from the plane origin are
-cast until positive semidefiniteness fails, giving the boundary curve of
-the section. Scanning the same rays through the map shows how the map
-deforms the section. For the 3x3 extremal witness the image of the
+A section plane is fixed by three states and drawn through a map; rays
+from the plane origin are cast until positive semidefiniteness fails,
+giving the boundary curve of the section. Scanning the same rays through
+the map shows how the map deforms the section; the sections of state
+space itself are drawn through the identity map. For the 3x3 extremal witness the image of the
 diagonal section is the source triangle rotated by 60 degrees and shrunk
 by one half.
 
@@ -32,7 +33,7 @@ e = np.eye(3)
 
 banner("Diagonal section: triangle, rotated and halved")
 plane = posmap.plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
-                                 np.outer(e[1], e[1]), W=W)
+                                 np.outer(e[1], e[1]), W)
 print("frame constants (a, b, c):", np.round(plane.abc, 12))
 src = posmap.scan_boundary(plane, n_theta=360)
 img = posmap.scan_boundary(plane, transform="image_plane", n_theta=360)
@@ -58,7 +59,7 @@ print("wrote", path, "and the svg next to it")
 
 banner("Tangent section: the plane through the continuum states")
 rho0, rho1, rho2 = posmap.choi_lam_tangent_section()
-tplane = posmap.plane_from_states(rho0, rho1, rho2, W=W)
+tplane = posmap.plane_from_states(rho0, rho1, rho2, W)
 a, b, c = tplane.abc
 print("constants: a =", a, " b =", b, " c =", c)
 print("image axes are the source axes scaled by -1/2:",
@@ -67,8 +68,9 @@ print("image axes are the source axes scaled by -1/2:",
 
 banner("Generic section types")
 rng_seed = 12
+identity = posmap.identity_witness(3)
 for t in ("A", "B", "C", "D", "E", "F"):
-    p = posmap.section_of_type(t, 3, seed=rng_seed)
+    p = posmap.section_of_type(t, identity, seed=rng_seed)
     curve = posmap.scan_boundary(p, n_theta=90)
     print(f"type {t}: r in [{curve.r.min():.4f}, {curve.r.max():.4f}]")
 
@@ -76,6 +78,6 @@ banner("Qubit sanity: the Bloch disc")
 sx = np.array([[0, 1], [1, 0]], dtype=complex)
 sz = np.diag([1.0, -1.0]).astype(complex)
 disc = posmap.plane_from_states(np.eye(2) / 2, (np.eye(2) + sx) / 2,
-                                (np.eye(2) + sz) / 2)
+                                (np.eye(2) + sz) / 2, posmap.identity_witness(2))
 r = posmap.scan_boundary(disc, n_theta=256).r
 print("disc radius min/max:", r.min(), r.max(), " (1/sqrt(2) =", 1 / np.sqrt(2), ")")

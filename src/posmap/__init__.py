@@ -47,7 +47,6 @@ from .builtin import (
     identity_witness,
     ring_common_zeros,
     ring_points,
-    ring_zero,
     state_to_bloch,
     transposition_witness,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "RingParams", "bloch_to_state", "choi_lam_continuum_zero",
     "choi_lam_map", "choi_lam_tangent_section", "choi_lam_witness",
     "horodecki_2x4_map", "horodecki_2x4_witness", "identity_witness",
-    "ring_common_zeros", "ring_points", "ring_zero", "state_to_bloch",
+    "ring_common_zeros", "ring_points", "state_to_bloch",
     "transposition_witness",
     "NormalizationResult", "contraction_spectrum", "normalize",
     "ConstraintSystem", "ProductZero", "alternating_minimize",

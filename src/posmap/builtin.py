@@ -31,7 +31,6 @@ __all__ = [
     "horodecki_2x4_map",
     "horodecki_2x4_witness",
     "RingParams",
-    "ring_zero",
     "ring_points",
     "ring_common_zeros",
     "bloch_to_state",
@@ -234,33 +233,22 @@ class RingParams:
 _SINGULAR_TOL = 1e-9
 
 
-def ring_zero(theta: float, params: RingParams = RingParams(),
-              branch: int = +1) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a ring zero at angle theta.
+def ring_points(thetas: np.ndarray, params: RingParams = RingParams(),
+                branch: int = +1) -> np.ndarray:
+    """Bloch coordinates (x, y, z) of the ring zeros at an array of angles.
 
     With s = a cos(2 theta + theta0) / cos(theta - theta0) and
     t = (-b s + branch * sqrt(1 + s^2 - b^2)) / (1 + s^2), the point is
     (t cos theta, t sin theta, -b - t s), which lies exactly on the unit
     sphere. At theta = theta0 +- pi/2 (mod pi) the denominator of s
-    vanishes; following t -> 0, t s -> -b +- 1 as s -> +inf, the
-    convention here returns the analytic limit from the s -> +inf side:
+    vanishes; following t -> 0, t s -> -b +- 1 as s -> +inf, angles
+    within 1e-9 of these get the analytic limit from the s -> +inf side:
     (0, 0, -1) for branch +1 and (0, 0, +1) for branch -1.
 
-    :param theta: angle in radians.
+    :param thetas: angles in radians.
     :param params: ring parameters (a, b, theta0).
     :param branch: +1 or -1, selecting the square-root branch.
-    :return: array (x, y, z) with x^2 + y^2 + z^2 = 1.
-    :raises ValueError: if branch is not +1 or -1.
-    """
-    return ring_points([theta], params, branch)[0]
-
-
-def ring_points(thetas: np.ndarray, params: RingParams = RingParams(),
-                branch: int = +1) -> np.ndarray:
-    """:func:`ring_zero` over an array of angles.
-
-    Angles within 1e-9 of the singular values get the analytic limit.
-    :return: array of shape (len(thetas), 3).
+    :return: array of shape (len(thetas), 3), rows on the unit sphere.
     :raises ValueError: if branch is not +1 or -1.
     """
     if branch not in (+1, -1):
@@ -286,12 +274,11 @@ def ring_common_zeros(params: RingParams = RingParams()) -> np.ndarray:
 
     :return: array of shape (8, 3), the six ring points first.
     """
-    pts = [ring_zero(theta, params, branch)
-           for theta in (0.0, np.pi / 3.0, -np.pi / 3.0)
-           for branch in (+1, -1)]
-    pts.append(np.array([0.0, 0.0, 1.0]))
-    pts.append(np.array([0.0, 0.0, -1.0]))
-    return np.array(pts)
+    thetas = [0.0, np.pi / 3.0, -np.pi / 3.0]
+    # Rows alternate branch +1 and -1 at each angle.
+    ring = np.stack([ring_points(thetas, params, +1),
+                     ring_points(thetas, params, -1)], axis=1).reshape(6, 3)
+    return np.concatenate([ring, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
 
 
 def bloch_to_state(p: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ def _cmd_zeros(args) -> int:
 def _cmd_section(args) -> int:
     W = _load_witness(args)
     seed = _resolve_seed(args.seed)
-    plane = section_of_type(args.type, k=W.m, seed=seed, W=W)
+    plane = section_of_type(args.type, W, seed=seed)
     source = scan_boundary(plane, transform="none", n_theta=args.samples)
     # The mapped boundary has the source's coordinates: no second scan.
     image_of_source = BoundaryCurve(source.theta, source.r, "image_of_source")

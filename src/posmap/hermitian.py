@@ -26,7 +26,7 @@ def as_hermitian(entries) -> np.ndarray:
     :return: ``(X + X^dag)/2`` as a complex ndarray.
     :raises ValueError: if the input is not square, has an entry that is
         not finite, or its anti-Hermitian part exceeds :data:`HERM_TOL`
-        relative to ``max(1, ||X||)``.
+        relative to ``||X||``.
     """
     X = np.asarray(entries, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -37,7 +37,7 @@ def as_hermitian(entries) -> np.ndarray:
         raise ValueError("matrix has an entry that is not finite")
     herm = (X + X.conj().T) / 2.0
     skew = hs_norm(X - herm)
-    scale = max(1.0, hs_norm(X))
+    scale = hs_norm(X)
     if skew > HERM_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: anti-Hermitian norm {skew:.3e} "

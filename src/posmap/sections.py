@@ -6,11 +6,13 @@ origin rho0 and two states rho1, rho2 fixing the axis directions,
 
     B = a (rho1 - rho0),    C = b (rho2 - rho0) + c (rho1 - rho0).
 
-The constants (a, b, c) orthonormalize either the source axes or, for
-visualizing a positive map, the image axes Mrho1 - Mrho0 and
-Mrho2 - Mrho0 (the same constants then apply on both sides, so one
-coordinate pair (x, y) labels both X = rho0 + xB + yC and its image
-MX simultaneously). Boundary curves are polar ray scans in closed
+Every plane is drawn through a map M: the constants (a, b, c)
+orthonormalize the image axes Mrho1 - Mrho0 and Mrho2 - Mrho0, and the
+same constants apply on both sides, so one coordinate pair (x, y)
+labels both X = rho0 + xB + yC and its image MX simultaneously. The
+sections of the state set itself are those drawn through the identity
+map (:func:`~posmap.builtin.identity_witness`), where the image frame
+is the source frame. Boundary curves are polar ray scans in closed
 form: along the ray at angle theta, X = rho0 + r U with
 U = cos(theta) B + sin(theta) C stays positive semidefinite up to
 r* = -1 / lambda_min(L), where L = rho0^(-1/2) U rho0^(-1/2) is taken on
@@ -24,13 +26,13 @@ and F are the same plane through the Choi-Lam continuum, on any map
 with a 3 x 3 source.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import Witness, apply_map
 from .builtin import choi_lam_tangent_section
-from .hermitian import as_hermitian, hs_inner
+from .hermitian import as_hermitian, hs_inner, hs_norm
 
 __all__ = [
     "SECTION_TYPES",
@@ -58,21 +60,17 @@ SECTION_TYPES = ("A", "B", "C", "D", "E", "F", "diag", "tangent")
 
 @dataclass(frozen=True)
 class SectionPlane:
-    """Affine plane rho0 + x B + y C in trace-one Hermitian matrix space.
-
-    ``norm_frame`` records which side the constants (a, b, c)
-    orthonormalize: "image" for the mapped axes, when the mapped origin
-    and axes are stored (so projections in that frame need no map), and
-    "source" for B, C themselves otherwise.
-    """
+    """Affine plane rho0 + x B + y C in trace-one Hermitian matrix space,
+    with its image ``image_rho0`` + x ``image_B`` + y ``image_C`` under
+    the map whose image axes the constants (a, b, c) orthonormalize."""
 
     rho0: np.ndarray
     B: np.ndarray
     C: np.ndarray
     abc: tuple
-    image_rho0: np.ndarray = field(default=None, repr=False)
-    image_B: np.ndarray = field(default=None, repr=False)
-    image_C: np.ndarray = field(default=None, repr=False)
+    image_rho0: np.ndarray
+    image_B: np.ndarray
+    image_C: np.ndarray
 
     def __post_init__(self):
         rho0 = as_hermitian(self.rho0)
@@ -81,25 +79,16 @@ class SectionPlane:
         if abs(np.trace(rho0).real - 1.0) > TRACE_TOL:
             raise ValueError("section origin must have trace 1")
         for axis in (B, C):
-            if abs(np.trace(axis).real) > TRACE_TOL:
+            # Relative: the axes scale as 1/|M| on a map scaled by |M|.
+            if abs(np.trace(axis).real) > TRACE_TOL * hs_norm(axis):
                 raise ValueError("section axes must be traceless")
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
-    @property
-    def norm_frame(self) -> str:
-        return "source" if self.image_rho0 is None else "image"
-
     def point(self, x: float, y: float) -> np.ndarray:
         """Matrix at plane coordinates (x, y)."""
         return self.rho0 + x * self.B + y * self.C
-
-    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(origin, axis1, axis2) of the declared orthonormal frame."""
-        if self.image_rho0 is not None:
-            return self.image_rho0, self.image_B, self.image_C
-        return self.rho0, self.B, self.C
 
 
 @dataclass(frozen=True)
@@ -139,25 +128,23 @@ class BoundaryCurve:
 # =============================================================================
 
 def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
-                      W: Witness = None) -> SectionPlane:
+                      W: Witness) -> SectionPlane:
     """Build a section plane through three trace-one Hermitian matrices.
 
     The constants are fixed by Gram-Schmidt: a = 1/|d1|,
     c = -b <d1, d2>/|d1|^2 and b normalizing the orthogonal complement,
-    where d1, d2 are the axis differences of the frame: the source
-    differences rho_i - rho0, or with a witness the image differences
-    M rho_i - M rho0. Always a > 0 and b > 0, so rho1 sits at y = 0,
-    x > 0 in that frame.
+    where d1, d2 are the image differences M rho_i - M rho0. Always
+    a > 0 and b > 0, so rho1 sits at y = 0, x > 0 in the image frame.
 
     :param rho0: origin state (trace 1).
     :param rho1: state fixing the x axis direction.
     :param rho2: second spanning state; need not be positive
         semidefinite, only Hermitian with trace 1.
-    :param W: witness whose map defines the image frame; without one the
-        source axes are orthonormalized.
+    :param W: witness whose map defines the image frame;
+        ``identity_witness(k)`` for the sections of the state set itself.
     :return: SectionPlane.
-    :raises ValueError: linearly dependent differences, or a map that
-        collapses the plane.
+    :raises ValueError: a state without trace 1, or image differences
+        that are linearly dependent (the map collapses the plane).
     """
     rho0 = as_hermitian(rho0)
     rho1 = as_hermitian(rho1)
@@ -167,33 +154,25 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
             raise ValueError("section states must have trace 1")
     d1 = rho1 - rho0
     d2 = rho2 - rho0
-    if W is None:
-        g1, g2 = d1, d2
-    else:
-        img0 = apply_map(W, rho0)
-        g1 = apply_map(W, rho1) - img0
-        g2 = apply_map(W, rho2) - img0
+    img0 = apply_map(W, rho0)
+    g1 = apply_map(W, rho1) - img0
+    g2 = apply_map(W, rho2) - img0
 
     g11 = hs_inner(g1, g1)
     g12 = hs_inner(g1, g2)
     g22 = hs_inner(g2, g2)
-    gram = g11 * g22 - g12 * g12
-    if gram <= GRAM_TOL:
-        if W is not None:
-            raise ValueError("map collapses the section plane "
-                             "(image differences linearly dependent)")
-        raise ValueError("rho1 - rho0 and rho2 - rho0 are linearly dependent")
+    # The Gram determinant relative to g11 g22 is the squared sine of the
+    # angle between the image differences, free of the map's scale.
+    if g11 * g22 - g12 * g12 <= GRAM_TOL * g11 * g22:
+        raise ValueError("map collapses the section plane "
+                         "(image differences linearly dependent)")
 
     a = 1.0 / np.sqrt(g11)
     b = 1.0 / np.sqrt(g22 - g12 * g12 / g11)
     c = -b * g12 / g11
-
-    B = a * d1
-    C = b * d2 + c * d1
-    if W is None:
-        return SectionPlane(rho0, B, C, (a, b, c))
-    return SectionPlane(rho0, B, C, (a, b, c), image_rho0=img0,
-                        image_B=a * g1, image_C=b * g2 + c * g1)
+    return SectionPlane(rho0, a * d1, b * d2 + c * d1, (a, b, c),
+                        image_rho0=img0, image_B=a * g1,
+                        image_C=b * g2 + c * g1)
 
 
 def _random_state(rng: np.random.Generator, k: int, rank: int) -> np.ndarray:
@@ -207,8 +186,7 @@ def _pure(phi: np.ndarray) -> np.ndarray:
     return np.outer(phi, phi.conj()) / (np.linalg.norm(phi) ** 2)
 
 
-def section_of_type(kind: str, k: int = 3, seed: int = 42,
-                    W: Witness = None) -> SectionPlane:
+def section_of_type(kind: str, W: Witness, seed: int = 42) -> SectionPlane:
     """Construct one of the named section planes of :data:`SECTION_TYPES`.
 
     A: rho1, rho2 random rank-2 states, origin I/k.
@@ -218,28 +196,30 @@ def section_of_type(kind: str, k: int = 3, seed: int = 42,
        mix (k >= 3).
     E: as D with the linearly dependent e1, e2, (e1+e2)/sqrt(2); the
        plane cuts a Bloch sphere lying in the boundary, so interior
-       points have rank 2 (k >= 2).
+       points have rank 2.
     diag: origin I/k through e1 e1^dag and e2 e2^dag (k >= 3; type D
        when k = 3).
     F, tangent: the plane of :func:`~posmap.builtin.choi_lam_tangent_section`,
        through the Choi-Lam continuum state at phi = (1,1,1)/sqrt(3)
        along its tangent (k = 3).
 
+    Here k = ``W.m``, the source dimension of the map.
+
     :param kind: one of :data:`SECTION_TYPES`.
-    :param k: matrix dimension of the source side.
-    :param seed: RNG seed for the random types A-C.
     :param W: witness whose map fixes the image frame (see
-        :func:`plane_from_states`); None for the source frame.
+        :func:`plane_from_states`).
+    :param seed: RNG seed for the random types A-C.
     :return: SectionPlane.
-    :raises ValueError: an unknown type, or a k the type does not allow.
+    :raises ValueError: an unknown type, a k the type does not allow, or
+        a map that collapses the plane.
     """
     if kind not in SECTION_TYPES:
         raise ValueError(f"unknown section type {kind!r}")
+    k = W.m
     if kind in ("F", "tangent") and k != 3:
         raise ValueError(f"section type {kind} needs k = 3, got k = {k}")
-    least = {"D": 3, "diag": 3, "E": 2}.get(kind, 1)
-    if k < least:
-        raise ValueError(f"section type {kind} needs k >= {least}, got k = {k}")
+    if kind in ("D", "diag") and k < 3:
+        raise ValueError(f"section type {kind} needs k >= 3, got k = {k}")
     eye = np.eye(k, dtype=complex)
     if kind in ("A", "B", "C"):
         rng = np.random.default_rng(seed)
@@ -256,7 +236,7 @@ def section_of_type(kind: str, k: int = 3, seed: int = 42,
         rho1, rho2 = (np.outer(eye[:, i], eye[:, i]) for i in (0, 1))
     else:
         rho0, rho1, rho2 = choi_lam_tangent_section()
-    return plane_from_states(rho0, rho1, rho2, W=W)
+    return plane_from_states(rho0, rho1, rho2, W)
 
 
 # =============================================================================
@@ -310,17 +290,16 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
     source curve "image_of_source" rather than rescan.
     transform="image_plane" scans the boundary of the state set in the
     image plane, X~ = Mrho0 + x MB + y MC, the solid curve of the plots.
-    The image plane needs a constant trace t > 0 (|Tr MB| and |Tr MC| at
-    most :data:`TRACE_TOL` * t), not t = 1: a normalized map with m != n
-    scales traces by a constant, which moves no boundary point.
+    The image plane needs a constant trace t > 0 (|Tr MB| and |Tr MC| of
+    the unit image axes at most :data:`TRACE_TOL` * t / |Mrho0|, free of
+    the map's scale), not t = 1: a normalized map with m != n scales
+    traces by a constant, which moves no boundary point.
 
-    :param plane: section plane; "image_plane" needs an image-framed one
-        (built with a witness).
+    :param plane: section plane.
     :param transform: "none" or "image_plane".
     :param n_theta: number of uniformly spaced rays on [0, 2 pi).
     :return: BoundaryCurve with n_theta polar samples.
-    :raises ValueError: unknown transform, an image scan of a
-        source-framed plane, an origin that is not positive
+    :raises ValueError: unknown transform, an origin that is not positive
         semidefinite, an axis off the origin's face, an image plane
         without a constant positive trace, or an unbounded section
         (impossible for planes of constant positive trace).
@@ -331,14 +310,11 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
                              "source")
     if transform != "image_plane":
         raise ValueError(f"unknown transform {transform!r}")
-    if plane.image_rho0 is None:
-        raise ValueError("transform='image_plane' needs a plane built "
-                         "with a witness (image frame)")
     # Positivity along a ray does not depend on the overall scale, so
     # any plane of constant positive trace t is scanned as it is.
     t = np.trace(plane.image_rho0).real
     drift = max(abs(np.trace(plane.image_B).real), abs(np.trace(plane.image_C).real))
-    if not (t > 0.0 and drift <= TRACE_TOL * t):
+    if not (t > 0.0 and drift * hs_norm(plane.image_rho0) <= TRACE_TOL * t):
         raise ValueError("image plane does not have a constant positive trace; "
                          "the map must preserve trace on the plane up to a scale")
     r = _scan_rays(plane.image_rho0, plane.image_B, plane.image_C, theta)
@@ -346,13 +322,12 @@ def scan_boundary(plane: SectionPlane, transform: str = "none",
 
 
 def project_point(plane: SectionPlane, X: np.ndarray) -> tuple[float, float]:
-    """Orthogonal projection coordinates of X in the declared frame.
+    """Orthogonal projection coordinates of X in the image frame.
 
-    :param plane: section plane (source frame uses rho0, B, C; image
-        frame uses the stored mapped origin and axes).
-    :param X: Hermitian matrix of the plane's dimension.
-    :return: (x, y) = HS inner products against the frame axes.
+    :param plane: section plane.
+    :param X: Hermitian matrix of the image side's dimension.
+    :return: (x, y) = HS inner products of X - image_rho0 against the
+        orthonormal image axes.
     """
-    origin, A1, A2 = plane.frame()
-    X = as_hermitian(X)
-    return (hs_inner(X - origin, A1), hs_inner(X - origin, A2))
+    X = as_hermitian(X) - plane.image_rho0
+    return (hs_inner(X, plane.image_B), hs_inner(X, plane.image_C))

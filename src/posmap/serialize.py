@@ -215,7 +215,6 @@ def section_sidecar_to_json(section_type: str, plane: SectionPlane,
     """
     return _dumps({
         "type": section_type,
-        "norm_frame": plane.norm_frame,
         "abc": [float(v) for v in plane.abc],
         "samples": samples,
         "seed": seed,

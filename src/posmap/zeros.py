@@ -684,13 +684,20 @@ def classify_zero(W: Witness, phi: np.ndarray,
     :param phi: unit vector, m side.
     :param chi: unit vector, n side.
     :return: (kind, ascending Hessian eigenvalues).
-    :raises ValueError: if ``phi`` or ``chi`` is not a nonzero finite
-        vector of its side's length, if W is zero, if |f_A(phi, chi)|
-        exceeds :data:`ZERO_TOL` * ||A||, or if the continuum certificate
-        of :func:`find_zeros` cannot be decided at the zero.
+    :raises ValueError: if ``phi`` or ``chi`` is not a finite vector of
+        its side's length with norm 1 to :data:`ZERO_TOL`, if W is zero,
+        if |f_A(phi, chi)| exceeds :data:`ZERO_TOL` * ||A||, or if the
+        continuum certificate of :func:`find_zeros` cannot be decided at
+        the zero.
     """
     Phi = _vector(phi, W.m, "phi")[None]
     Chi = _vector(chi, W.n, "chi")[None]
+    # The tangent Hessian scales with |phi|^2 |chi|^2, so a short vector
+    # would read as a flatter zero.
+    for name, V in (("phi", Phi), ("chi", Chi)):
+        norm = np.linalg.norm(V)
+        if abs(norm - 1.0) > ZERO_TOL:
+            raise ValueError(f"{name} must be a unit vector, got norm {norm:.17g}")
     value = abs(biquadratic_form(W, Phi, Chi)[0])
     if value > ZERO_TOL * _scale(W):
         raise ValueError(

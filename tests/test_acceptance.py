@@ -23,8 +23,8 @@ from posmap.bipartite import (Witness, apply_map, biquadratic_form,
                               diagnostics, partial_transpose, tensor)
 from posmap.builtin import (RingParams, bloch_to_state, choi_lam_tangent_section,
                             choi_lam_witness, horodecki_2x4_map,
-                            horodecki_2x4_witness, ring_common_zeros,
-                            ring_points, ring_zero, state_to_bloch)
+                            horodecki_2x4_witness, identity_witness,
+                            ring_common_zeros, ring_points, state_to_bloch)
 from posmap.normalize import contraction_spectrum, normalize
 from posmap.sections import plane_from_states, scan_boundary
 from posmap.serialize import witness_from_json
@@ -128,14 +128,14 @@ def test_criterion_05_choi_lam_geometry():
     W = choi_lam_witness()
     e = np.eye(3)
     diag = plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
-                             np.outer(e[1], e[1]), W=W)
+                             np.outer(e[1], e[1]), W)
     dashed = scan_boundary(diag, n_theta=720)
     solid = scan_boundary(diag, transform="image_plane", n_theta=720)
     assert np.abs(np.roll(solid.r, 120) / 2 - dashed.r).max() < 1e-8
     assert np.abs(np.roll(solid.r, -120) / 2 - dashed.r).max() < 1e-8
 
     rho0, rho1, rho2 = choi_lam_tangent_section()
-    tangent = plane_from_states(rho0, rho1, rho2, W=W)
+    tangent = plane_from_states(rho0, rho1, rho2, W)
     a, b, _ = tangent.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 3.0) < 1e-12
@@ -148,14 +148,16 @@ def test_criterion_06_boundary_radii_oracle():
     circle r = 1/sqrt(2) uniformly; all to 1e-9. Budget 5 s."""
     t0 = time.perf_counter()
     e3 = np.eye(3)
-    d3 = plane_from_states(np.eye(3) / 3, np.outer(e3[0], e3[0]), np.outer(e3[1], e3[1]))
+    d3 = plane_from_states(np.eye(3) / 3, np.outer(e3[0], e3[0]), np.outer(e3[1], e3[1]),
+                           identity_witness(3))
     curve3 = scan_boundary(d3, n_theta=360)
     assert abs(curve3.r[0] - np.sqrt(6) / 3) < 1e-9
     assert abs(curve3.r[180] - np.sqrt(6) / 6) < 1e-9
 
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    d2 = plane_from_states(np.eye(2) / 2, (np.eye(2) + sx) / 2, (np.eye(2) + sz) / 2)
+    d2 = plane_from_states(np.eye(2) / 2, (np.eye(2) + sx) / 2, (np.eye(2) + sz) / 2,
+                           identity_witness(2))
     curve2 = scan_boundary(d2, n_theta=360)
     assert np.abs(curve2.r - 1 / np.sqrt(2)).max() < 1e-9
     assert time.perf_counter() - t0 < 5.0
@@ -189,7 +191,7 @@ def _ring_distance(q, branch, grid, ring_cache):
     the parametrization (coarse grid argmin, then golden-section)."""
     i = int(np.linalg.norm(ring_cache[branch] - q, axis=1).argmin())
     lo, hi = grid[i] - 2e-4, grid[i] + 2e-4
-    dist = lambda t: np.linalg.norm(ring_zero(t, branch=branch) - q)
+    dist = lambda t: np.linalg.norm(ring_points([t], branch=branch)[0] - q)
     for _ in range(60):
         m1 = lo + 0.382 * (hi - lo)
         m2 = hi - 0.382 * (hi - lo)
@@ -201,7 +203,7 @@ def _ring_distance(q, branch, grid, ring_cache):
 
 
 def test_criterion_08_rings_2x4():
-    """ring_zero on the unit sphere to 1e-12 over 1e5 samples; the 8
+    """Ring points on the unit sphere to 1e-12 over 1e5 samples; the 8
     common zeros invariant to 1e-10 under theta0 -> theta0 + 0.3;
     find_zeros phi-Bloch points within 1e-6 of a ring. Budget 180 s."""
     t0 = time.perf_counter()
@@ -243,7 +245,7 @@ def test_criterion_09_map_positivity():
     W = horodecki_2x4_witness()
     for theta in np.linspace(0, 2 * np.pi, 16, endpoint=False):
         for branch in (+1, -1):
-            rho = bloch_to_state(ring_zero(theta, branch=branch))
+            rho = bloch_to_state(ring_points([theta], branch=branch)[0])
             Y = apply_map(W, rho)
             sv = np.linalg.svd(Y, compute_uv=False)
             assert int(np.sum(sv > 1e-8 * sv[0])) == 3
@@ -262,8 +264,9 @@ def test_criterion_10_constraint_counting():
     e = np.eye(3)
     assert constraint_rows(W, e[1], e[0]).shape == (9, 80)
     W24 = horodecki_2x4_witness()
-    phi = np.linalg.eigh(bloch_to_state(ring_zero(0.0)))[1][:, -1]
-    chi = np.linalg.eigh(apply_map(W24, bloch_to_state(ring_zero(0.0))))[1][:, 0]
+    ring = bloch_to_state(ring_points([0.0])[0])
+    phi = np.linalg.eigh(ring)[1][:, -1]
+    chi = np.linalg.eigh(apply_map(W24, ring))[1][:, 0]
     assert constraint_rows(W24, phi, chi).shape == (9, 63)
 
     sys3 = constraint_rank(W, [(e[0], e[2]), (e[1], e[0]), (e[2], e[1])])

@@ -9,8 +9,8 @@ from posmap.bipartite import (Witness, apply_map, apply_transposed_map,
                               partial_transpose, product_transform,
                               tensor, witness_from_map,
                               witness_from_map_matrix)
-from posmap.builtin import (horodecki_2x4_witness, identity_witness,
-                            transposition_witness)
+from posmap.builtin import (choi_lam_witness, horodecki_2x4_witness,
+                            identity_witness, transposition_witness)
 from posmap.hermitian import hs_inner, hs_norm
 
 
@@ -31,6 +31,28 @@ def test_witness_validation():
         Witness(1, 3, np.eye(3))
     with pytest.raises(ValueError):
         Witness(2, 2, np.arange(16.0).reshape(4, 4))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** -600])
+def test_witness_hermiticity_is_relative_to_the_matrix(scale):
+    """A tiny matrix far from Hermitian is refused, not symmetrized into
+    another witness; a tiny Hermitian one is kept as it is."""
+    G = np.random.default_rng(8).standard_normal((9, 9))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Witness(3, 3, scale * G)
+    A = scale * choi_lam_witness().matrix
+    assert np.array_equal(Witness(3, 3, A).matrix, A)
+
+
+@pytest.mark.parametrize("W", [choi_lam_witness(), Witness(3, 3, np.eye(9)),
+                               identity_witness(3)], ids=["choi-lam", "eye", "swap"])
+def test_diagnostics_flags_free_of_the_scale(W):
+    """The PSD and PPT flags compare the smallest eigenvalue with the
+    spectrum's own size, so c A answers as A does."""
+    flags = {(d["psd"], d["ppt"])
+             for d in (diagnostics(Witness(W.m, W.n, c * W.matrix))
+                       for c in (1e-12, 1.0, 1e12))}
+    assert len(flags) == 1, flags
 
 
 def test_blocks_index_convention():

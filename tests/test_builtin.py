@@ -11,8 +11,8 @@ from posmap.builtin import (RingParams, bloch_to_state, choi_lam_continuum_zero,
                             choi_lam_map, choi_lam_tangent_section,
                             choi_lam_witness, horodecki_2x4_map,
                             horodecki_2x4_witness, identity_witness,
-                            ring_common_zeros, ring_points, ring_zero,
-                            state_to_bloch, transposition_witness)
+                            ring_common_zeros, ring_points, state_to_bloch,
+                            transposition_witness)
 
 # the printed integer form of the partially transposed witness, 2x map scale
 W_P = np.array([
@@ -159,35 +159,36 @@ def test_horodecki_ring_zero_images():
     """Ring points map to singular rank-3 images."""
     W = horodecki_2x4_witness()
     for theta in (0.0, 0.9, 2.5):
-        rho = bloch_to_state(ring_zero(theta))
+        rho = bloch_to_state(ring_points([theta])[0])
         vals = np.linalg.eigvalsh(apply_map(W, rho))
         assert abs(vals[0]) < 1e-12
         assert vals[1] > 1e-4
 
 
 def test_ring_zero_frozen_points():
-    p = ring_zero(0.0)
+    p = ring_points([0.0])[0]
     assert np.abs(p - np.array([0.974684865169519, 0.0, -0.223583124608])).max() < 1e-12
-    m = ring_zero(0.0, branch=-1)
+    m = ring_points([0.0], branch=-1)[0]
     assert np.abs(m - np.array([-0.991284461820572, 0.0, 0.131738816425151])).max() < 1e-12
-    q = ring_zero(1.0)
+    q = ring_points([1.0])[0]
     assert np.abs(q - np.array([0.535502860008171, 0.833996290751519, 0.13299200703718])).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0, 2 * np.pi), st.sampled_from([+1, -1]))
 def test_ring_zero_on_unit_sphere(theta, branch):
-    p = ring_zero(theta, branch=branch)
+    (p,) = ring_points([theta], branch=branch)
     assert abs(p @ p - 1.0) < 1e-12
 
 
 def test_ring_points_batch():
+    """Each row of a batch is the one-angle call, bit for bit."""
     thetas = np.linspace(0, 2 * np.pi, 101)
     P = ring_points(thetas)
     assert P.shape == (101, 3)
     assert np.abs(np.einsum("ij,ij->i", P, P) - 1.0).max() < 1e-12
     for i in (0, 50, 100):
-        assert np.abs(P[i] - ring_zero(thetas[i])).max() < 1e-14
+        assert np.array_equal(P[i], ring_points([thetas[i]])[0])
 
 
 def test_ring_common_zeros():

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from posmap.bipartite import Witness
-from posmap.builtin import choi_lam_tangent_section, choi_lam_witness
+from posmap.builtin import (choi_lam_tangent_section, choi_lam_witness,
+                            identity_witness)
 from posmap.hermitian import hs_inner, hs_norm
 from posmap.sections import (BOUNDARY_TOL, SECTION_TYPES, SectionPlane,
                              plane_from_states, project_point, scan_boundary,
                              section_of_type, _scan_rays)
 
 
-def _diag_plane(W=None):
+def _diag_plane(W=identity_witness(3)):
     e = np.eye(3)
     return plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]), np.outer(e[1], e[1]),
-                             W=W)
+                             W)
 
 
 def test_plane_axes_orthonormal():
@@ -30,13 +31,14 @@ def test_plane_rejects_degenerate():
     e = np.eye(3)
     rho1 = np.outer(e[0], e[0])
     with pytest.raises(ValueError):
-        plane_from_states(np.eye(3) / 3, rho1, rho1)
+        plane_from_states(np.eye(3) / 3, rho1, rho1, identity_witness(3))
 
 
 def test_plane_rejects_wrong_trace():
     e = np.eye(3)
     with pytest.raises(ValueError):
-        plane_from_states(np.eye(3), np.outer(e[0], e[0]), np.outer(e[1], e[1]))
+        plane_from_states(np.eye(3), np.outer(e[0], e[0]), np.outer(e[1], e[1]),
+                          identity_witness(3))
 
 
 def test_point_recovers_states():
@@ -45,7 +47,7 @@ def test_point_recovers_states():
     rho0 = np.eye(3) / 3
     rho1 = np.outer(e[0], e[0])
     rho2 = np.outer(e[1], e[1])
-    plane = plane_from_states(rho0, rho1, rho2)
+    plane = plane_from_states(rho0, rho1, rho2, identity_witness(3))
     a, b, c = plane.abc
     assert np.abs(plane.point(1 / a, 0.0) - rho1).max() < 1e-12
     assert np.abs(plane.point(-c / (a * b), 1 / b) - rho2).max() < 1e-12
@@ -57,7 +59,7 @@ def test_tangent_section_constants():
     """Image-frame constants (sqrt(6), 3, -3) and image axes -B/2, -C/2."""
     W = choi_lam_witness()
     rho0, rho1, rho2 = choi_lam_tangent_section()
-    plane = plane_from_states(rho0, rho1, rho2, W=W)
+    plane = plane_from_states(rho0, rho1, rho2, W)
     a, b, c = plane.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 3.0) < 1e-12
@@ -69,7 +71,7 @@ def test_tangent_section_constants():
 
 def test_diag_section_image_constants():
     W = choi_lam_witness()
-    plane = _diag_plane(W=W)
+    plane = _diag_plane(W)
     a, b, c = plane.abc
     assert abs(a - np.sqrt(6)) < 1e-12
     assert abs(b - 2 * np.sqrt(2)) < 1e-12
@@ -101,10 +103,10 @@ def test_scan_boundary_tightness():
     """
     W = choi_lam_witness()
     for kind in SECTION_TYPES:
-        plane = section_of_type(kind, k=W.m, W=W)
+        plane = section_of_type(kind, W)
         for transform, (origin, B, C) in (
                 ("none", (plane.rho0, plane.B, plane.C)),
-                ("image_plane", plane.frame())):
+                ("image_plane", (plane.image_rho0, plane.image_B, plane.image_C))):
             curve = scan_boundary(plane, transform=transform, n_theta=36)
             d, V = np.linalg.eigh(origin)
             F = V[:, d > BOUNDARY_TOL * d[-1]]
@@ -119,7 +121,7 @@ def test_scan_boundary_tightness():
 
 def test_scan_labels_and_carryover():
     W = choi_lam_witness()
-    plane = _diag_plane(W=W)
+    plane = _diag_plane(W)
     src = scan_boundary(plane)
     solid = scan_boundary(plane, transform="image_plane")
     assert src.label == "source"
@@ -132,7 +134,7 @@ def test_diag_image_plane_is_medial_triangle():
     """The mapped source triangle is the image triangle rotated 60 degrees
     and scaled by one half, pointwise over the ray grid."""
     W = choi_lam_witness()
-    plane = _diag_plane(W=W)
+    plane = _diag_plane(W)
     dashed = scan_boundary(plane)
     solid = scan_boundary(plane, transform="image_plane")
     n = dashed.r.size
@@ -143,18 +145,19 @@ def test_diag_image_plane_is_medial_triangle():
 
 
 def test_section_of_type_random_planes():
+    W = identity_witness(3)
     for kind in ("A", "B", "C"):
-        plane = section_of_type(kind, k=3, seed=5)
+        plane = section_of_type(kind, W, seed=5)
         assert isinstance(plane, SectionPlane)
         assert abs(np.trace(plane.rho0).real - 1.0) < 1e-12
     # deterministic in the seed
-    p1 = section_of_type("A", k=3, seed=5)
-    p2 = section_of_type("A", k=3, seed=5)
+    p1 = section_of_type("A", W, seed=5)
+    p2 = section_of_type("A", W, seed=5)
     assert np.abs(p1.rho0 - p2.rho0).max() == 0.0
 
 
 def test_section_type_d_pure_origin_mix():
-    plane = section_of_type("D", k=3)
+    plane = section_of_type("D", identity_witness(3))
     e = np.eye(3)
     assert np.abs(plane.rho0 - np.eye(3) / 3).max() < 1e-12
     assert np.abs(plane.point(*project_point(plane, np.outer(e[0], e[0]))) - np.outer(e[0], e[0])).max() < 1e-12
@@ -167,7 +170,7 @@ def test_section_type_e_boundary_circle():
     center, so the raw radii vary; a least-squares circle fit recovers
     the pure-state sphere radius.
     """
-    plane = section_of_type("E", k=3)
+    plane = section_of_type("E", identity_witness(3))
     curve = scan_boundary(plane, n_theta=90)
     xy = curve.xy()
     A = np.column_stack([2 * xy[:, 0], 2 * xy[:, 1], np.ones(len(xy))])
@@ -182,25 +185,49 @@ def test_section_type_e_boundary_circle():
     assert abs(vals[-1] - 1.0) < 1e-8  # pure state on the boundary
 
 
-@pytest.mark.parametrize("kind, k", [("E", 0), ("E", 1), ("D", 2), ("diag", 2),
+@pytest.mark.parametrize("kind, k", [("D", 2), ("diag", 2),
                                      ("F", 2), ("F", 4), ("tangent", 4)])
 def test_section_type_checks_k(kind, k):
-    """Each type checks its dimension up front, with an error naming k:
-    D and diag need three basis states, E two, F and tangent are the
-    3 x 3 plane of the Choi-Lam continuum."""
+    """Each type checks the map's source dimension k up front, with an
+    error naming k: D and diag need three basis states, F and tangent
+    are the 3 x 3 plane of the Choi-Lam continuum."""
     with pytest.raises(ValueError, match=f"got k = {k}"):
-        section_of_type(kind, k=k)
+        section_of_type(kind, identity_witness(k))
 
 
 def test_diag_and_tangent_are_d_and_f_on_choi_lam():
-    """On a 3 x 3 map, diag is type D and tangent is type F, in both
-    frames and on the image side, entry for entry."""
+    """On a 3 x 3 map, diag is type D and tangent is type F, on the
+    source and the image side, entry for entry."""
     W = choi_lam_witness()
     for alias, kind in (("diag", "D"), ("tangent", "F")):
-        p, q = section_of_type(alias, W=W), section_of_type(kind, W=W)
+        p, q = section_of_type(alias, W), section_of_type(kind, W)
         for name in ("rho0", "B", "C", "image_rho0", "image_B", "image_C"):
             assert np.array_equal(getattr(p, name), getattr(q, name)), (alias, name)
         assert p.abc == q.abc
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e8])
+def test_image_plane_free_of_the_map_scale(c):
+    """Scaling the map by c scales the image axes and so the image-plane
+    radii by c, and (a, b, c) by 1/c: the collinearity test compares the
+    Gram determinant with g11 g22, not with an absolute floor."""
+    W = choi_lam_witness()
+    cW = Witness(3, 3, c * W.matrix)
+    for kind in ("diag", "tangent", "A"):
+        plane, scaled = section_of_type(kind, W), section_of_type(kind, cW)
+        assert np.allclose(np.array(scaled.abc) * c, plane.abc, rtol=1e-12, atol=0)
+        r, rc = (scan_boundary(p, transform="image_plane", n_theta=36).r
+                 for p in (plane, scaled))
+        assert np.allclose(rc / c, r, rtol=1e-12, atol=0), kind
+
+
+def test_plane_rejects_a_collapsing_map():
+    """A map that sends both axis directions to multiples of one image
+    difference collapses the plane at any scale."""
+    e = np.eye(3)
+    W = Witness(3, 3, 1e-6 * np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3)))
+    with pytest.raises(ValueError, match="collapses"):
+        plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]), np.outer(e[1], e[1]), W)
 
 
 def test_tangent_runs_on_a_3xn_map():
@@ -209,24 +236,14 @@ def test_tangent_runs_on_a_3xn_map():
     W = choi_lam_witness()
     K = np.kron(np.eye(3), np.eye(4, 3))
     W4 = Witness(3, 4, K @ W.matrix @ K.T)
-    r3, r4 = (scan_boundary(section_of_type("tangent", W=w), transform="image_plane",
+    r3, r4 = (scan_boundary(section_of_type("tangent", w), transform="image_plane",
                             n_theta=36).r for w in (W, W4))
     assert np.abs(r4 / r3 - 1).max() < 1e-12
 
 
-def test_image_frame_follows_the_witness():
-    """A plane is image-framed exactly when built with a witness, and only
-    then can its image plane be scanned."""
-    W = choi_lam_witness()
-    assert _diag_plane().norm_frame == "source"
-    assert _diag_plane(W=W).norm_frame == "image"
-    with pytest.raises(ValueError, match="witness"):
-        scan_boundary(_diag_plane(), transform="image_plane")
-
-
 def test_unknown_section_type():
     with pytest.raises(ValueError):
-        section_of_type("Q")
+        section_of_type("Q", identity_witness(3))
 
 
 def test_scan_rays_unbounded_error():
@@ -239,7 +256,7 @@ def test_scan_rays_unbounded_error():
 def test_scan_rejects_indefinite_origin():
     e = np.eye(3)
     plane = plane_from_states(np.diag([1.2, -0.1, -0.1]), np.outer(e[0], e[0]),
-                              np.outer(e[1], e[1]))
+                              np.outer(e[1], e[1]), identity_witness(3))
     with pytest.raises(ValueError, match="not positive semidefinite"):
         scan_boundary(plane)
 
@@ -249,7 +266,7 @@ def test_scan_rejects_axes_off_the_origin_face():
     the cone at once, so there is no boundary curve to report."""
     e = np.eye(3)
     plane = plane_from_states(np.outer(e[0], e[0]), np.eye(3) / 3,
-                              np.outer(e[1], e[1]))
+                              np.outer(e[1], e[1]), identity_witness(3))
     with pytest.raises(ValueError, match="face"):
         scan_boundary(plane)
 

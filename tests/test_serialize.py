@@ -167,7 +167,7 @@ def test_diagnostics_json_structure():
 
 
 def test_curves_csv_format():
-    plane = section_of_type("D", k=3)
+    plane = section_of_type("D", identity_witness(3))
     curve = scan_boundary(plane, n_theta=8)
     text = curves_to_csv([curve])
     lines = text.strip().split("\n")
@@ -193,7 +193,7 @@ def test_rings_csv_format():
 
 
 def test_svg_renderer():
-    plane = section_of_type("D", k=3)
+    plane = section_of_type("D", identity_witness(3))
     curve = scan_boundary(plane, n_theta=16)
     svg = render_section_svg([curve], markers={"origin": (0.0, 0.0)})
     assert svg.startswith("<svg")

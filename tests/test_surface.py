@@ -60,7 +60,7 @@ def test_defaulted_parameter_budget():
                 if inspect.isfunction(getattr(posmap, name))
                 for param in inspect.signature(getattr(posmap, name)).parameters.values()
                 if param.default is not inspect.Parameter.empty]
-    assert len(defaults) == 16, defaults
+    assert len(defaults) == 11, defaults
 
 
 def test_cli_section_types_are_the_sections_table():

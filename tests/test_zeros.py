@@ -115,6 +115,23 @@ def test_one_zero_entry_points_name_bad_vectors(call, name, v):
             call(choi_lam_witness(), v)
 
 
+@pytest.mark.parametrize("name", ["phi", "chi"])
+def test_classify_refuses_non_unit_vectors(name):
+    """The tangent Hessian scales with |phi|^2 |chi|^2, so a short vector
+    would read a quadratic zero as quartic: it is refused, not rescaled,
+    and unit inputs keep the bits of the stacked classification."""
+    W = Witness(3, 3, np.eye(9) - np.diag(np.eye(9)[0]))
+    e0 = np.eye(3)[0]
+    kind, spectrum = classify_zero(W, e0, e0)
+    kinds, spectra, _, _ = zeros_mod._classify(W, e0[None], e0[None])
+    assert kind == kinds[0] == "quadratic"
+    assert np.array_equal(spectrum, spectra[0])
+    args = {"phi": e0, "chi": e0}
+    args[name] = 1e-4 * e0
+    with pytest.raises(ValueError, match=f"^{name} must be a unit vector"):
+        classify_zero(W, **args)
+
+
 def test_classify_rejects_non_zero():
     W = choi_lam_witness()
     e = np.eye(3)
