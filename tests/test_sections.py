@@ -28,10 +28,15 @@ def test_plane_axes_orthonormal():
 
 
 def test_plane_rejects_degenerate():
+    """Equal states, or a map (here a small one) that sends both axis
+    directions onto one image difference, collapse the plane."""
     e = np.eye(3)
     rho1 = np.outer(e[0], e[0])
     with pytest.raises(ValueError):
         plane_from_states(np.eye(3) / 3, rho1, rho1, identity_witness(3))
+    W = Witness(3, 3, 1e-6 * np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3)))
+    with pytest.raises(ValueError, match="collapses"):
+        plane_from_states(np.eye(3) / 3, rho1, np.outer(e[1], e[1]), W)
 
 
 def test_plane_rejects_wrong_trace():
@@ -219,15 +224,6 @@ def test_image_plane_free_of_the_map_scale(c):
         r, rc = (scan_boundary(p, transform="image_plane", n_theta=36).r
                  for p in (plane, scaled))
         assert np.allclose(rc / c, r, rtol=1e-12, atol=0), kind
-
-
-def test_plane_rejects_a_collapsing_map():
-    """A map that sends both axis directions to multiples of one image
-    difference collapses the plane at any scale."""
-    e = np.eye(3)
-    W = Witness(3, 3, 1e-6 * np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3)))
-    with pytest.raises(ValueError, match="collapses"):
-        plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]), np.outer(e[1], e[1]), W)
 
 
 def test_tangent_runs_on_a_3xn_map():
