@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import as_hermitian, hermitian_basis, hs_norm
+from .hermitian import as_hermitian, hermitian_basis, hs_norm, is_psd
 
 __all__ = [
     "Witness",
@@ -240,8 +240,8 @@ def diagnostics(W: Witness) -> dict:
     """Structural report for a witness: spectra, marginals, map residuals.
 
     :return: dict with the witness trace, minimal eigenvalues of A and of
-        its partial transpose, the PSD/PPT flags (the minimal eigenvalue
-        at least -1e-10 times the largest magnitude of its spectrum), the
+        its partial transpose, the PSD/PPT flags (by
+        :func:`~posmap.hermitian.is_psd` on each spectrum), the
         partial traces, and the unitality / trace-preservation residuals
         ``||M(I/sqrt(m)) - I/sqrt(n)||`` and ``||M^T(I/sqrt(n)) - I/sqrt(m)||``.
     """
@@ -261,8 +261,8 @@ def diagnostics(W: Witness) -> dict:
         "min_eig": float(eigs[0]),
         "max_eig": float(eigs[-1]),
         "min_eig_pt": float(eigs_pt[0]),
-        "psd": bool(eigs[0] >= -1e-10 * np.abs(eigs).max()),
-        "ppt": bool(eigs_pt[0] >= -1e-10 * np.abs(eigs_pt).max()),
+        "psd": is_psd(eigs),
+        "ppt": is_psd(eigs_pt),
         "partial_trace_1": partial_trace_1(W),
         "partial_trace_2": partial_trace_2(W),
         "unitality_residual": unital_res,

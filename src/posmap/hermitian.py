@@ -5,6 +5,11 @@ reduces to a handful of operations on Hermitian matrices: the real inner
 product <X, Y> = Tr(XY), eigendecompositions, principal square roots and
 inverses of definite matrices, and the orthonormal Hermitian basis used to
 write maps as real matrices.
+
+One rule decides positivity everywhere (:func:`is_psd`): an eigenvalue
+counts as zero when it lies within :data:`PSD_TOL` of the largest
+magnitude of its spectrum. Every check is relative to the quantity it
+tests, with no absolute floor, so none depends on the matrices' scale.
 """
 
 import math
@@ -13,8 +18,8 @@ import numpy as np
 
 # Relative tolerance for accepting "Hermitian up to rounding" input.
 HERM_TOL = 1e-8
-# Relative clamp below which small negative eigenvalues are treated as zero.
-PSD_CLAMP_TOL = 1e-10
+# Relative size below which an eigenvalue counts as zero (see is_psd).
+PSD_TOL = 1e-10
 # Relative floor below which a positive matrix is considered singular.
 PD_EPS = 1e-12
 
@@ -75,19 +80,24 @@ def hs_norm(X: np.ndarray) -> float:
     return norm
 
 
+def is_psd(vals: np.ndarray) -> bool:
+    """Whether an ascending spectrum is positive semidefinite:
+    ``vals[0] >= -PSD_TOL * max|vals|``."""
+    return bool(vals[0] >= -PSD_TOL * np.abs(vals).max())
+
+
 def sqrt_psd(X: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite matrix.
 
-    Eigenvalues in ``[-PSD_CLAMP_TOL * ||X||, 0)`` are clamped to zero
-    before taking the root; anything more negative is rejected.
+    Negative eigenvalues that :func:`is_psd` counts as zero are clamped
+    to zero before taking the root.
 
     :param X: Hermitian positive-semidefinite matrix.
     :return: Hermitian PSD matrix S with ``S @ S = X``.
-    :raises ValueError: if X has an eigenvalue below the clamp window.
+    :raises ValueError: if X fails :func:`is_psd`.
     """
     vals, vecs = np.linalg.eigh(X)
-    floor = -PSD_CLAMP_TOL * max(1e-300, float(np.abs(vals).max()))
-    if vals[0] < floor:
+    if not is_psd(vals):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}"
         )
@@ -106,7 +116,7 @@ def inv_pd(X: np.ndarray) -> np.ndarray:
         carries the offending eigenvalue.
     """
     vals, vecs = np.linalg.eigh(X)
-    if vals[0] <= PD_EPS * max(1e-300, float(np.abs(vals).max())):
+    if vals[0] <= PD_EPS * np.abs(vals).max():
         raise ValueError(
             f"matrix is not positive definite: min eigenvalue {vals[0]:.3e}"
         )

@@ -194,7 +194,7 @@ def contraction_spectrum(W: Witness, X: np.ndarray) -> np.ndarray:
     S_inv, g = _inverse_images(W, X)    # g = (m/n) X at the fixed point
     trg = np.trace(g).real
     resid = hs_norm(g * (m / trg) - X)
-    if resid > FIXED_POINT_TOL * max(1.0, hs_norm(X)):
+    if resid > FIXED_POINT_TOL * hs_norm(X):
         raise ValueError(
             f"not a fixed point: step residual {resid:.3e} exceeds "
             f"{FIXED_POINT_TOL:.1e} (relative)"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bipartite import Witness, apply_map
 from .builtin import choi_lam_tangent_section
-from .hermitian import as_hermitian, hs_inner, hs_norm
+from .hermitian import PSD_TOL, as_hermitian, hs_inner, hs_norm, is_psd
 
 __all__ = [
     "SECTION_TYPES",
@@ -46,9 +46,6 @@ __all__ = [
 
 GRAM_TOL = 1e-14
 TRACE_TOL = 1e-10
-# Face tolerance of a boundary scan, relative to the origin's largest
-# eigenvalue: smaller eigenvalues span the kernel the axes must avoid.
-BOUNDARY_TOL = 1e-10
 
 CURVE_LABELS = ("source", "image_of_source", "image_plane")
 SECTION_TYPES = ("A", "B", "C", "D", "E", "F", "diag", "tangent")
@@ -158,17 +155,22 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
     g1 = apply_map(W, rho1) - img0
     g2 = apply_map(W, rho2) - img0
 
-    g11 = hs_inner(g1, g1)
-    g12 = hs_inner(g1, g2)
-    g22 = hs_inner(g2, g2)
+    # Gram products of g1, g2 scaled by 2^-e, e the binary exponent of
+    # their largest entry: exact, and inside the float range at any map
+    # scale. a and b scale back by 2^-e.
+    e = np.frexp(max(np.abs(g1).max(), np.abs(g2).max()))[1]
+    h1, h2 = g1 * np.ldexp(1.0, -e), g2 * np.ldexp(1.0, -e)
+    g11 = hs_inner(h1, h1)
+    g12 = hs_inner(h1, h2)
+    g22 = hs_inner(h2, h2)
     # The Gram determinant relative to g11 g22 is the squared sine of the
     # angle between the image differences, free of the map's scale.
     if g11 * g22 - g12 * g12 <= GRAM_TOL * g11 * g22:
         raise ValueError("map collapses the section plane "
                          "(image differences linearly dependent)")
 
-    a = 1.0 / np.sqrt(g11)
-    b = 1.0 / np.sqrt(g22 - g12 * g12 / g11)
+    a = np.ldexp(1.0 / np.sqrt(g11), -e)
+    b = np.ldexp(1.0 / np.sqrt(g22 - g12 * g12 / g11), -e)
     c = -b * g12 / g11
     return SectionPlane(rho0, a * d1, b * d2 + c * d1, (a, b, c),
                         image_rho0=img0, image_B=a * g1,
@@ -248,7 +250,9 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
     """Boundary radius r*(theta) = sup{r : origin + r U(theta) >= 0} per ray.
 
     With origin = V diag(d) V^dag, its face is spanned by the eigenvectors
-    with d_i > BOUNDARY_TOL * max d. For axes inside that face, whitening
+    with d_i > PSD_TOL * max d, those :func:`~posmap.hermitian.is_psd`
+    does not count as zero. An axis is inside the face when its part off
+    the face is at most PSD_TOL times its norm. For such axes, whitening
     with P = V_face diag(d_face)^(-1/2) turns origin + r U >= 0 into
     I + r L(theta) >= 0, where L(theta) = cos(theta) P^dag B P
     + sin(theta) P^dag C P, so r*(theta) = -1 / lambda_min(L(theta)):
@@ -259,14 +263,13 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
         be 0), or a ray that never leaves the cone (unbounded section).
     """
     d, V = np.linalg.eigh(origin)
-    if d[0] < -BOUNDARY_TOL * np.abs(d).max():
+    if not is_psd(d):
         raise ValueError(f"section origin is not positive semidefinite "
                          f"(minimum eigenvalue {d[0]:.3e})")
-    face = d > BOUNDARY_TOL * d[-1]
+    face = d > PSD_TOL * d[-1]
     off_face = V[:, ~face].conj().T
     for axis in (B, C):
-        if (np.linalg.norm(off_face @ axis)
-                > BOUNDARY_TOL * max(1.0, np.linalg.norm(axis))):
+        if hs_norm(off_face @ axis) > PSD_TOL * hs_norm(axis):
             raise ValueError("section axis leaves the face of the origin: "
                              "the boundary passes through the origin")
     P = V[:, face] / np.sqrt(d[face])
@@ -328,6 +331,12 @@ def project_point(plane: SectionPlane, X: np.ndarray) -> tuple[float, float]:
     :param X: Hermitian matrix of the image side's dimension.
     :return: (x, y) = HS inner products of X - image_rho0 against the
         orthonormal image axes.
+    :raises ValueError: if X is not Hermitian or not n x n, n the image
+        side's dimension.
     """
-    X = as_hermitian(X) - plane.image_rho0
+    X = as_hermitian(X)
+    if X.shape != plane.image_rho0.shape:
+        raise ValueError(f"expected a matrix of the image side's shape "
+                         f"{plane.image_rho0.shape}, got {X.shape}")
+    X = X - plane.image_rho0
     return (hs_inner(X, plane.image_B), hs_inner(X, plane.image_C))

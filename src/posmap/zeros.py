@@ -96,7 +96,7 @@ class ConstraintSystem:
 
     ``rows`` has one row per constraint in the traceless orthonormal
     witness coordinates (N^2 - 1 columns, N = m n); ``rank`` is the
-    numerical rank; ``zero_count`` the number of zeros used.
+    numerical rank; ``zero_count`` the number of distinct zeros used.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -827,10 +827,14 @@ def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
 
 
 def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
-    """Stack the constraint rows of several zeros and report the rank.
+    """Stack the constraint rows of the distinct zeros and report the rank.
 
-    Singular values above :data:`RANK_TOL` times the largest count toward
-    the rank; no zeros give no rows and rank 0.
+    Pairs that are the same zero by the overlap rule of
+    :func:`find_zeros` (after normalizing phi and chi) count once, the
+    first of them giving the rows, so near-coincident copies of a zero
+    cannot add nearly parallel rows. Singular values above
+    :data:`RANK_TOL` times the largest count toward the rank; no zeros
+    give no rows and rank 0.
 
     :param W: witness.
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
@@ -846,8 +850,9 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
                              f"{np.shape(chi)}")
     Phi = np.array([phi for phi, _ in pairs] or np.empty((0, W.m)), dtype=complex)
     Chi = np.array([chi for _, chi in pairs] or np.empty((0, W.n)), dtype=complex)
-    rows = constraint_rows(W, Phi, Chi)
+    kept = _merge(*(V / np.linalg.norm(V, axis=1, keepdims=True) for V in (Phi, Chi)))
+    rows = constraint_rows(W, Phi[kept], Chi[kept])
     rows = rows.reshape(-1, rows.shape[-1])
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * sv.max(initial=0.0)))
-    return ConstraintSystem(rows=rows, rank=rank, zero_count=len(pairs))
+    return ConstraintSystem(rows=rows, rank=rank, zero_count=len(kept))

@@ -4,8 +4,8 @@ import pytest
 from posmap.bipartite import Witness
 from posmap.builtin import (choi_lam_tangent_section, choi_lam_witness,
                             identity_witness)
-from posmap.hermitian import hs_inner, hs_norm
-from posmap.sections import (BOUNDARY_TOL, SECTION_TYPES, SectionPlane,
+from posmap.hermitian import PSD_TOL, hs_inner, hs_norm
+from posmap.sections import (SECTION_TYPES, SectionPlane,
                              plane_from_states, project_point, scan_boundary,
                              section_of_type, _scan_rays)
 
@@ -58,6 +58,17 @@ def test_point_recovers_states():
     assert np.abs(plane.point(-c / (a * b), 1 / b) - rho2).max() < 1e-12
     assert project_point(plane, rho1) == pytest.approx((1 / a, 0.0), abs=1e-12)
     assert project_point(plane, rho2) == pytest.approx((-c / (a * b), 1 / b), abs=1e-12)
+
+
+def test_project_point_rejects_a_matrix_off_the_image_side():
+    """On a 3 -> 4 map a 3 x 3 matrix is of the source side, not the
+    image side, and is refused by name, not by numpy's broadcasting."""
+    W = choi_lam_witness()
+    K = np.kron(np.eye(3), np.eye(4, 3))
+    plane = section_of_type("tangent", Witness(3, 4, K @ W.matrix @ K.T))
+    project_point(plane, np.eye(4) / 4)
+    with pytest.raises(ValueError, match=r"image side's shape \(4, 4\)"):
+        project_point(plane, np.eye(3) / 3)
 
 
 def test_tangent_section_constants():
@@ -114,7 +125,7 @@ def test_scan_boundary_tightness():
                 ("image_plane", (plane.image_rho0, plane.image_B, plane.image_C))):
             curve = scan_boundary(plane, transform=transform, n_theta=36)
             d, V = np.linalg.eigh(origin)
-            F = V[:, d > BOUNDARY_TOL * d[-1]]
+            F = V[:, d > PSD_TOL * d[-1]]
             U = (np.cos(curve.theta)[:, None, None] * B
                  + np.sin(curve.theta)[:, None, None] * C)
             for step, check in ((1.0, lambda low: np.abs(low) < 1e-12),
@@ -211,11 +222,14 @@ def test_diag_and_tangent_are_d_and_f_on_choi_lam():
         assert p.abc == q.abc
 
 
-@pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e8])
+@pytest.mark.parametrize("c", [2.0**-600, 1e-8, 1e-4, 1.0, 1e8, 2.0**600])
+@pytest.mark.filterwarnings("error")
 def test_image_plane_free_of_the_map_scale(c):
     """Scaling the map by c scales the image axes and so the image-plane
     radii by c, and (a, b, c) by 1/c: the collinearity test compares the
-    Gram determinant with g11 g22, not with an absolute floor."""
+    Gram determinant with g11 g22, not with an absolute floor, and the
+    Gram products neither underflow nor overflow at the ends of the
+    float range."""
     W = choi_lam_witness()
     cW = Witness(3, 3, c * W.matrix)
     for kind in ("diag", "tangent", "A"):
@@ -259,12 +273,16 @@ def test_scan_rejects_indefinite_origin():
 
 def test_scan_rejects_axes_off_the_origin_face():
     """A pure origin e0 e0^dag with an axis towards I/3: every ray leaves
-    the cone at once, so there is no boundary curve to report."""
+    the cone at once, so there is no boundary curve to report. The source
+    axes scale as 1/scale with the map, and the face test is relative to
+    the axis, so it holds at every scale."""
     e = np.eye(3)
-    plane = plane_from_states(np.outer(e[0], e[0]), np.eye(3) / 3,
-                              np.outer(e[1], e[1]), identity_witness(3))
-    with pytest.raises(ValueError, match="face"):
-        scan_boundary(plane)
+    for scale in (1e-12, 1.0, 1e12):
+        W = Witness(3, 3, scale * identity_witness(3).matrix)
+        plane = plane_from_states(np.outer(e[0], e[0]), np.eye(3) / 3,
+                                  np.outer(e[1], e[1]), W)
+        with pytest.raises(ValueError, match="face"):
+            scan_boundary(plane)
 
 
 def test_scan_deterministic():

@@ -225,6 +225,18 @@ def test_constraint_rank_printed_zeros():
     assert sys.rank == 27
 
 
+def test_constraint_rank_counts_near_coincident_zeros_once():
+    """A phi 1e-9 from e0 (scaled, so unnormalized) is the zero (e0, e2)
+    again: it adds no rows, and the rank stays that of one zero."""
+    W = choi_lam_witness()
+    e = np.eye(3)
+    near = 2.0 * (e[0] + 1e-9 * e[1])
+    system = constraint_rank(W, [(e[0], e[2]), (near, e[2])])
+    assert system.zero_count == 1
+    assert system.rows.shape == (9, 80)
+    assert system.rank == 9
+
+
 def test_constraint_rows_against_own_witness():
     """The witness satisfies its own affine zero constraints.
 
