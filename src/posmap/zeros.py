@@ -840,7 +840,7 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     :param zeros: iterable of :class:`ProductZero` or (phi, chi) pairs.
     :return: :class:`ConstraintSystem`.
     :raises ValueError: if a pair's phi is not an m-vector or its chi
-        not an n-vector.
+        not an n-vector, or either is zero.
     """
     pairs = [(z.phi, z.chi) if isinstance(z, ProductZero) else z for z in zeros]
     for phi, chi in pairs:
@@ -850,7 +850,10 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
                              f"{np.shape(chi)}")
     Phi = np.array([phi for phi, _ in pairs] or np.empty((0, W.m)), dtype=complex)
     Chi = np.array([chi for _, chi in pairs] or np.empty((0, W.n)), dtype=complex)
-    kept = _merge(*(V / np.linalg.norm(V, axis=1, keepdims=True) for V in (Phi, Chi)))
+    norms = [np.linalg.norm(V, axis=1, keepdims=True) for V in (Phi, Chi)]
+    if not all(norm.all() for norm in norms):
+        raise ValueError("a zero needs a nonzero phi and chi")
+    kept = _merge(Phi / norms[0], Chi / norms[1])
     rows = constraint_rows(W, Phi[kept], Chi[kept])
     rows = rows.reshape(-1, rows.shape[-1])
     sv = np.linalg.svd(rows, compute_uv=False)

@@ -235,6 +235,9 @@ def test_constraint_rank_counts_near_coincident_zeros_once():
     assert system.zero_count == 1
     assert system.rows.shape == (9, 80)
     assert system.rank == 9
+    # A zero vector is no zero: it is refused, not counted with no rows.
+    with pytest.raises(ValueError, match="nonzero phi and chi"):
+        constraint_rank(W, [(e[0], e[2]), (np.zeros(3), e[2])])
 
 
 def test_constraint_rows_against_own_witness():
