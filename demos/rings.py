@@ -29,8 +29,8 @@ def banner(text):
 
 banner("Points on the rings")
 theta = np.linspace(0, 2 * np.pi, 400, endpoint=False)
-plus = posmap.ring_points(theta, branch=+1)
-minus = posmap.ring_points(theta, branch=-1)
+points = posmap.ring_points(theta)
+plus, minus = points
 print("unit-sphere residual, + branch:", np.abs((plus ** 2).sum(1) - 1).max())
 print("unit-sphere residual, - branch:", np.abs((minus ** 2).sum(1) - 1).max())
 step = np.linalg.norm(np.diff(plus, axis=0), axis=1)
@@ -41,7 +41,7 @@ print("adjacent-sample chord, median vs max:",
 banner("Images drop rank exactly on the rings")
 W = posmap.horodecki_2x4_witness()
 for t in (0.0, 1.0, 2.5):
-    rho = posmap.bloch_to_state(posmap.ring_points([t], branch=+1)[0])
+    rho = posmap.bloch_to_state(posmap.ring_points([t])[0, 0])
     sv = np.linalg.svd(posmap.apply_map(W, rho), compute_uv=False)
     print(f"theta={t}: image singular values {np.round(sv, 6)}  rank 3")
 
@@ -57,11 +57,11 @@ print("set is invariant under reparametrization:", pair.min(axis=1).max())
 banner("Zero search lands on the rings")
 zeros = posmap.find_zeros(W, starts=60, seed=1)
 grid = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
-rings = {b: posmap.ring_points(grid, branch=b) for b in (+1, -1)}
+rings = posmap.ring_points(grid)
 worst = 0.0
 for z in zeros:
     q = posmap.state_to_bloch(np.outer(z.phi, z.phi.conj()))
-    d = min(np.linalg.norm(rings[b] - q, axis=1).min() for b in (+1, -1))
+    d = np.linalg.norm(rings - q, axis=-1).min()
     worst = max(worst, d)
 print(f"{len(zeros)} zeros found; worst coarse-grid ring distance {worst:.2e}")
 print("(grid distance overstates by up to half the local chord; the")
@@ -69,5 +69,5 @@ print(" acceptance test refines along theta and lands below 1e-6)")
 
 path = os.path.join(OUT, "rings.csv")
 with open(path, "w", newline="") as fh:
-    fh.write(rings_to_csv(theta, plus, minus))
+    fh.write(rings_to_csv(theta, points))
 print("wrote", path)

@@ -35,14 +35,13 @@ banner("Diagonal section: triangle, rotated and halved")
 plane = posmap.plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
                                  np.outer(e[1], e[1]), W)
 print("frame constants (a, b, c):", np.round(plane.abc, 12))
-src = posmap.scan_boundary(plane, n_theta=360)
-img = posmap.scan_boundary(plane, transform="image_plane", n_theta=360)
-# The mapped source boundary has the source's coordinates.
-dashed = posmap.BoundaryCurve(src.theta, src.r, "image_of_source")
+src = posmap.scan_boundary(*plane.source, n_theta=360)
+img = posmap.scan_boundary(*plane.image, n_theta=360)
 print("source r at theta=0 (pure-state corner):", src.r[0])
+# The mapped source boundary has the source's coordinates.
 print("rotate the image-plane triangle by 60 deg and halve it, compare",
       "to the mapped source:",
-      np.abs(np.roll(img.r, 60) / 2 - dashed.r).max())
+      np.abs(np.roll(img.r, 60) / 2 - src.r).max())
 
 a, b, c = plane.abc
 markers = {
@@ -52,9 +51,9 @@ markers = {
 }
 path = os.path.join(OUT, "diag_section.csv")
 with open(path, "w", newline="") as fh:
-    fh.write(curves_to_csv([src, dashed, img]))
+    fh.write(curves_to_csv(src, img))
 with open(os.path.join(OUT, "diag_section.svg"), "w") as fh:
-    fh.write(render_section_svg([dashed, img], markers))
+    fh.write(render_section_svg(src, img, markers))
 print("wrote", path, "and the svg next to it")
 
 banner("Tangent section: the plane through the continuum states")
@@ -71,7 +70,7 @@ rng_seed = 12
 identity = posmap.identity_witness(3)
 for t in ("A", "B", "C", "D", "E", "F"):
     p = posmap.section_of_type(t, identity, seed=rng_seed)
-    curve = posmap.scan_boundary(p, n_theta=90)
+    curve = posmap.scan_boundary(*p.source, n_theta=90)
     print(f"type {t}: r in [{curve.r.min():.4f}, {curve.r.max():.4f}]")
 
 banner("Qubit sanity: the Bloch disc")
@@ -79,5 +78,5 @@ sx = np.array([[0, 1], [1, 0]], dtype=complex)
 sz = np.diag([1.0, -1.0]).astype(complex)
 disc = posmap.plane_from_states(np.eye(2) / 2, (np.eye(2) + sx) / 2,
                                 (np.eye(2) + sz) / 2, posmap.identity_witness(2))
-r = posmap.scan_boundary(disc, n_theta=256).r
+r = posmap.scan_boundary(*disc.source, n_theta=256).r
 print("disc radius min/max:", r.min(), r.max(), " (1/sqrt(2) =", 1 / np.sqrt(2), ")")

@@ -233,35 +233,33 @@ class RingParams:
 _SINGULAR_TOL = 1e-9
 
 
-def ring_points(thetas: np.ndarray, params: RingParams = RingParams(),
-                branch: int = +1) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of the ring zeros at an array of angles.
+def ring_points(thetas: np.ndarray, params: RingParams = RingParams()) -> np.ndarray:
+    """Bloch coordinates (x, y, z) of the ring zeros at an array of angles,
+    on both square-root branches.
 
     With s = a cos(2 theta + theta0) / cos(theta - theta0) and
-    t = (-b s + branch * sqrt(1 + s^2 - b^2)) / (1 + s^2), the point is
+    t = (-b s +- sqrt(1 + s^2 - b^2)) / (1 + s^2), the point is
     (t cos theta, t sin theta, -b - t s), which lies exactly on the unit
     sphere. At theta = theta0 +- pi/2 (mod pi) the denominator of s
     vanishes; following t -> 0, t s -> -b +- 1 as s -> +inf, angles
     within 1e-9 of these get the analytic limit from the s -> +inf side:
-    (0, 0, -1) for branch +1 and (0, 0, +1) for branch -1.
+    (0, 0, -1) on branch +1 and (0, 0, +1) on branch -1.
 
     :param thetas: angles in radians.
     :param params: ring parameters (a, b, theta0).
-    :param branch: +1 or -1, selecting the square-root branch.
-    :return: array of shape (len(thetas), 3), rows on the unit sphere.
-    :raises ValueError: if branch is not +1 or -1.
+    :return: array of shape (2, len(thetas), 3), branch +1 first, rows on
+        the unit sphere.
     """
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
     thetas = np.asarray(thetas, dtype=float)
     a, b, theta0 = params.a, params.b, params.theta0
     den = np.cos(thetas - theta0)
     singular = np.abs(den) < _SINGULAR_TOL
     safe_den = np.where(singular, 1.0, den)
     s = a * np.cos(2.0 * thetas + theta0) / safe_den
+    branch = np.array([[1.0], [-1.0]])      # the sign of the root, +1 first
     t = (-b * s + branch * np.sqrt(1.0 + s * s - b * b)) / (1.0 + s * s)
-    pts = np.stack([t * np.cos(thetas), t * np.sin(thetas), -b - t * s], axis=1)
-    pts[singular] = (0.0, 0.0, -float(branch))
+    pts = np.stack([t * np.cos(thetas), t * np.sin(thetas), -b - t * s], axis=-1)
+    pts[:, singular] = [[[0.0, 0.0, -1.0]], [[0.0, 0.0, 1.0]]]
     return pts
 
 
@@ -274,11 +272,9 @@ def ring_common_zeros(params: RingParams = RingParams()) -> np.ndarray:
 
     :return: array of shape (8, 3), the six ring points first.
     """
-    thetas = [0.0, np.pi / 3.0, -np.pi / 3.0]
     # Rows alternate branch +1 and -1 at each angle.
-    ring = np.stack([ring_points(thetas, params, +1),
-                     ring_points(thetas, params, -1)], axis=1).reshape(6, 3)
-    return np.concatenate([ring, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    ring = ring_points([0.0, np.pi / 3.0, -np.pi / 3.0], params).swapaxes(0, 1)
+    return np.concatenate([ring.reshape(6, 3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
 
 
 def bloch_to_state(p: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from .bipartite import Witness, diagnostics
 from .normalize import normalize
 # plane_from_states is unused here but stays importable from posmap.cli:
 # the benchmark tracer (bench/tracer.py) patches it under this module.
-from .sections import (SECTION_TYPES, BoundaryCurve, plane_from_states,
-                       project_point, scan_boundary, section_of_type)
+from .sections import (SECTION_TYPES, plane_from_states, project_point,
+                       scan_boundary, section_of_type)
 from .serialize import (FormatError, atomic_write, curves_to_csv,
                         diagnostics_to_json, normalization_to_json,
                         render_section_svg, rings_to_csv,
@@ -134,11 +134,8 @@ def _cmd_section(args) -> int:
     W = _load_witness(args)
     seed = _resolve_seed(args.seed)
     plane = section_of_type(args.type, W, seed=seed)
-    source = scan_boundary(plane, transform="none", n_theta=args.samples)
-    # The mapped boundary has the source's coordinates: no second scan.
-    image_of_source = BoundaryCurve(source.theta, source.r, "image_of_source")
-    image_plane = scan_boundary(plane, transform="image_plane",
-                                n_theta=args.samples)
+    source = scan_boundary(*plane.source, n_theta=args.samples)
+    image_plane = scan_boundary(*plane.image, n_theta=args.samples)
 
     a, b, c = plane.abc
     markers = {
@@ -148,15 +145,12 @@ def _cmd_section(args) -> int:
             plane, np.eye(W.n, dtype=complex) / W.n),
     }
 
-    atomic_write(args.output, curves_to_csv([source, image_of_source,
-                                             image_plane]))
+    atomic_write(args.output, curves_to_csv(source, image_plane))
     atomic_write(os.path.splitext(args.output)[0] + ".json",
                  section_sidecar_to_json(args.type, plane, args.samples, seed,
                                          markers))
     if args.svg:
-        atomic_write(args.svg,
-                     render_section_svg([image_of_source, image_plane],
-                                        markers))
+        atomic_write(args.svg, render_section_svg(source, image_plane, markers))
     return 0
 
 
@@ -173,9 +167,8 @@ def _cmd_rings(args) -> int:
     except ValueError as exc:
         raise FormatError(str(exc))
     theta = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
-    plus = builtins_mod.ring_points(theta, params, branch=+1)
-    minus = builtins_mod.ring_points(theta, params, branch=-1)
-    _emit(rings_to_csv(theta, plus, minus), args.output)
+    _emit(rings_to_csv(theta, builtins_mod.ring_points(theta, params)),
+          args.output)
     return 0
 
 

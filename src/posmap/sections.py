@@ -12,12 +12,15 @@ same constants apply on both sides, so one coordinate pair (x, y)
 labels both X = rho0 + xB + yC and its image MX simultaneously. The
 sections of the state set itself are those drawn through the identity
 map (:func:`~posmap.builtin.identity_witness`), where the image frame
-is the source frame. Boundary curves are polar ray scans in closed
-form: along the ray at angle theta, X = rho0 + r U with
-U = cos(theta) B + sin(theta) C stays positive semidefinite up to
-r* = -1 / lambda_min(L), where L = rho0^(-1/2) U rho0^(-1/2) is taken on
-the face (support) of rho0. The axes must lie in that face, which holds
-for a singular origin whose plane stays on the boundary (type E).
+is the source frame. A plane has two frames, ``plane.source`` =
+(rho0, B, C) and ``plane.image`` = (Mrho0, MB, MC), and
+:func:`scan_boundary` scans one frame at a time. Boundary curves are
+polar ray scans in closed form: along the ray at angle theta,
+X = origin + r U with U = cos(theta) B + sin(theta) C stays positive
+semidefinite up to r* = -1 / lambda_min(L), where
+L = origin^(-1/2) U origin^(-1/2) is taken on the face (support) of the
+origin. The axes must lie in that face, which holds for a singular
+origin whose plane stays on the boundary (type E).
 
 :data:`SECTION_TYPES` lists the named planes :func:`section_of_type`
 builds, and the CLI offers exactly these. ``diag`` is the plane of I/k
@@ -47,7 +50,6 @@ __all__ = [
 GRAM_TOL = 1e-14
 TRACE_TOL = 1e-10
 
-CURVE_LABELS = ("source", "image_of_source", "image_plane")
 SECTION_TYPES = ("A", "B", "C", "D", "E", "F", "diag", "tangent")
 
 
@@ -70,18 +72,18 @@ class SectionPlane:
     image_C: np.ndarray
 
     def __post_init__(self):
-        rho0 = as_hermitian(self.rho0)
-        B = as_hermitian(self.B)
-        C = as_hermitian(self.C)
-        if abs(np.trace(rho0).real - 1.0) > TRACE_TOL:
-            raise ValueError("section origin must have trace 1")
-        for axis in (B, C):
-            # Relative: the axes scale as 1/|M| on a map scaled by |M|.
-            if abs(np.trace(axis).real) > TRACE_TOL * hs_norm(axis):
-                raise ValueError("section axes must be traceless")
-        object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        for name in ("rho0", "B", "C"):
+            object.__setattr__(self, name, as_hermitian(getattr(self, name)))
+
+    @property
+    def source(self) -> tuple:
+        """The source frame (rho0, B, C), as :func:`scan_boundary` takes it."""
+        return self.rho0, self.B, self.C
+
+    @property
+    def image(self) -> tuple:
+        """The image frame (image_rho0, image_B, image_C)."""
+        return self.image_rho0, self.image_B, self.image_C
 
     def point(self, x: float, y: float) -> np.ndarray:
         """Matrix at plane coordinates (x, y)."""
@@ -90,27 +92,22 @@ class SectionPlane:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Polar samples (theta_i, r_i) of a positivity boundary in a plane.
+    """Polar samples (theta_i, r_i) of a positivity boundary in one frame.
 
-    label is one of "source" (boundary of the state set in the source
-    plane; the paper-style dashed curve once reinterpreted through the
-    map), "image_of_source" (the same samples labeled as the mapped
-    boundary, valid because coordinates carry over under the map), or
-    "image_plane" (boundary of the state set in the image plane, the
-    solid curve).
+    Which curve of a picture it is (the source boundary, which is also
+    the mapped boundary, or the boundary in the image plane) is the
+    writers' choice: :func:`~posmap.serialize.curves_to_csv` and
+    :func:`~posmap.serialize.render_section_svg` take the curves by role.
     """
 
     theta: np.ndarray
     r: np.ndarray
-    label: str
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         r = np.asarray(self.r, dtype=float)
         if theta.shape != r.shape or theta.ndim != 1:
             raise ValueError("theta and r must be matching 1D arrays")
-        if self.label not in CURVE_LABELS:
-            raise ValueError(f"unknown curve label {self.label!r}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "r", r)
 
@@ -140,8 +137,9 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
     :param W: witness whose map defines the image frame;
         ``identity_witness(k)`` for the sections of the state set itself.
     :return: SectionPlane.
-    :raises ValueError: a state without trace 1, or image differences
-        that are linearly dependent (the map collapses the plane).
+    :raises ValueError: a state without trace 1, image differences
+        that are linearly dependent (the map collapses the plane), or a
+        map so small that the constants exceed the float range.
     """
     rho0 = as_hermitian(rho0)
     rho1 = as_hermitian(rho1)
@@ -157,8 +155,14 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
 
     # Gram products of g1, g2 scaled by 2^-e, e the binary exponent of
     # their largest entry: exact, and inside the float range at any map
-    # scale. a and b scale back by 2^-e.
-    e = np.frexp(max(np.abs(g1).max(), np.abs(g2).max()))[1]
+    # scale. a and b scale back by 2^-e, which on a map near the subnormal
+    # range lies beyond the float range: then the plane has no frame.
+    size = max(np.abs(g1).max(), np.abs(g2).max())
+    e = np.frexp(size)[1]
+    beyond = (f"the frame constants of a map of scale {size:.3e} (largest image "
+              f"difference) lie beyond the float range")
+    if -e >= np.finfo(float).maxexp:
+        raise ValueError(beyond)
     h1, h2 = g1 * np.ldexp(1.0, -e), g2 * np.ldexp(1.0, -e)
     g11 = hs_inner(h1, h1)
     g12 = hs_inner(h1, h2)
@@ -169,9 +173,12 @@ def plane_from_states(rho0: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
         raise ValueError("map collapses the section plane "
                          "(image differences linearly dependent)")
 
-    a = np.ldexp(1.0 / np.sqrt(g11), -e)
-    b = np.ldexp(1.0 / np.sqrt(g22 - g12 * g12 / g11), -e)
-    c = -b * g12 / g11
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.ldexp(1.0 / np.sqrt(g11), -e)
+        b = np.ldexp(1.0 / np.sqrt(g22 - g12 * g12 / g11), -e)
+        c = -b * g12 / g11
+    if not np.isfinite((a, b, c)).all():
+        raise ValueError(beyond)
     return SectionPlane(rho0, a * d1, b * d2 + c * d1, (a, b, c),
                         image_rho0=img0, image_B=a * g1,
                         image_C=b * g2 + c * g1)
@@ -245,23 +252,54 @@ def section_of_type(kind: str, W: Witness, seed: int = 42) -> SectionPlane:
 # Boundary scans
 # =============================================================================
 
-def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
-               theta: np.ndarray) -> np.ndarray:
-    """Boundary radius r*(theta) = sup{r : origin + r U(theta) >= 0} per ray.
+def scan_boundary(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
+                  n_theta: int = 720) -> BoundaryCurve:
+    """Scan the positivity boundary of one frame, origin + x B + y C.
 
-    With origin = V diag(d) V^dag, its face is spanned by the eigenvectors
-    with d_i > PSD_TOL * max d, those :func:`~posmap.hermitian.is_psd`
-    does not count as zero. An axis is inside the face when its part off
-    the face is at most PSD_TOL times its norm. For such axes, whitening
-    with P = V_face diag(d_face)^(-1/2) turns origin + r U >= 0 into
-    I + r L(theta) >= 0, where L(theta) = cos(theta) P^dag B P
-    + sin(theta) P^dag C P, so r*(theta) = -1 / lambda_min(L(theta)):
-    one eigh of the origin and one stacked eigvalsh over the rays.
+    Pass ``*plane.source`` for the boundary of the state set in the
+    source plane. Its samples are also those of the mapped boundary:
+    since MX = Mrho0 + x MB + y MC with the mapped axes sharing the
+    constants (a, b, c), the same coordinates label MX, so no second
+    scan is needed. Pass ``*plane.image`` for the boundary of the state
+    set in the image plane, the solid curve of the plots.
 
-    :raises ValueError: an origin that is not positive semidefinite, an
-        axis with a component off the origin's face (every radius would
-        be 0), or a ray that never leaves the cone (unbounded section).
+    One trace rule covers every frame: the plane needs a constant trace
+    t = Tr origin > 0, not t = 1, with |Tr U| / |U| * |origin| at most
+    :data:`TRACE_TOL` * t for U in (B, C), free of the map's scale. A
+    normalized map with m != n scales traces by a constant, which moves
+    no boundary point, and positivity along a ray does not depend on the
+    overall scale, so such a plane is scanned as it is. Every frame is
+    the image frame of a map (the source frame that of the identity), so
+    the error names the image plane.
+
+    With origin = V diag(d) V^dag, its face is spanned by the
+    eigenvectors with d_i > PSD_TOL * max d, those
+    :func:`~posmap.hermitian.is_psd` does not count as zero. An axis is
+    inside the face when its part off the face is at most PSD_TOL times
+    its norm. For such axes, whitening with P = V_face diag(d_face)^(-1/2)
+    turns origin + r U >= 0 into I + r L(theta) >= 0, where
+    L(theta) = cos(theta) P^dag B P + sin(theta) P^dag C P, so
+    r*(theta) = -1 / lambda_min(L(theta)): one eigh of the origin and one
+    stacked eigvalsh over the rays.
+
+    :param origin: origin of the frame, Hermitian.
+    :param B: first axis, Hermitian of the origin's shape.
+    :param C: second axis.
+    :param n_theta: number of uniformly spaced rays on [0, 2 pi).
+    :return: BoundaryCurve with n_theta polar samples.
+    :raises ValueError: a frame without a constant positive trace, an
+        origin that is not positive semidefinite, an axis off the
+        origin's face (every radius would be 0), or a ray that never
+        leaves the cone (unbounded section, impossible for nonzero
+        traceless axes that are not collinear).
     """
+    t = np.trace(origin).real
+    # |origin| / t is free of the scale, and so is |Tr U| against |U|.
+    if not (t > 0.0 and all(
+            abs(np.trace(axis).real) * (hs_norm(origin) / t) <= TRACE_TOL * hs_norm(axis)
+            for axis in (B, C))):
+        raise ValueError("image plane does not have a constant positive trace; "
+                         "the map must preserve trace on the plane up to a scale")
     d, V = np.linalg.eigh(origin)
     if not is_psd(d):
         raise ValueError(f"section origin is not positive semidefinite "
@@ -272,6 +310,7 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
         if hs_norm(off_face @ axis) > PSD_TOL * hs_norm(axis):
             raise ValueError("section axis leaves the face of the origin: "
                              "the boundary passes through the origin")
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     P = V[:, face] / np.sqrt(d[face])
     L = (np.cos(theta)[:, None, None] * (P.conj().T @ B @ P)
          + np.sin(theta)[:, None, None] * (P.conj().T @ C @ P))
@@ -279,49 +318,7 @@ def _scan_rays(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
     if np.any(lam >= 0.0):
         raise ValueError("unbounded section: a ray never leaves the "
                          "positive semidefinite cone")
-    return -1.0 / lam
-
-
-def scan_boundary(plane: SectionPlane, transform: str = "none",
-                  n_theta: int = 720) -> BoundaryCurve:
-    """Scan a positivity boundary curve in a section plane.
-
-    transform="none" scans X = rho0 + xB + yC and labels the curve
-    "source". Its samples are also those of the mapped boundary: since
-    MX = Mrho0 + x MB + y MC with the mapped axes sharing the constants
-    (a, b, c), the same coordinates label MX, so callers relabel the
-    source curve "image_of_source" rather than rescan.
-    transform="image_plane" scans the boundary of the state set in the
-    image plane, X~ = Mrho0 + x MB + y MC, the solid curve of the plots.
-    The image plane needs a constant trace t > 0 (|Tr MB| and |Tr MC| of
-    the unit image axes at most :data:`TRACE_TOL` * t / |Mrho0|, free of
-    the map's scale), not t = 1: a normalized map with m != n scales
-    traces by a constant, which moves no boundary point.
-
-    :param plane: section plane.
-    :param transform: "none" or "image_plane".
-    :param n_theta: number of uniformly spaced rays on [0, 2 pi).
-    :return: BoundaryCurve with n_theta polar samples.
-    :raises ValueError: unknown transform, an origin that is not positive
-        semidefinite, an axis off the origin's face, an image plane
-        without a constant positive trace, or an unbounded section
-        (impossible for planes of constant positive trace).
-    """
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    if transform == "none":
-        return BoundaryCurve(theta, _scan_rays(plane.rho0, plane.B, plane.C, theta),
-                             "source")
-    if transform != "image_plane":
-        raise ValueError(f"unknown transform {transform!r}")
-    # Positivity along a ray does not depend on the overall scale, so
-    # any plane of constant positive trace t is scanned as it is.
-    t = np.trace(plane.image_rho0).real
-    drift = max(abs(np.trace(plane.image_B).real), abs(np.trace(plane.image_C).real))
-    if not (t > 0.0 and drift * hs_norm(plane.image_rho0) <= TRACE_TOL * t):
-        raise ValueError("image plane does not have a constant positive trace; "
-                         "the map must preserve trace on the plane up to a scale")
-    r = _scan_rays(plane.image_rho0, plane.image_B, plane.image_C, theta)
-    return BoundaryCurve(theta, r, "image_plane")
+    return BoundaryCurve(theta, -1.0 / lam)
 
 
 def project_point(plane: SectionPlane, X: np.ndarray) -> tuple[float, float]:

@@ -228,20 +228,26 @@ def section_sidecar_to_json(section_type: str, plane: SectionPlane,
 # CSV
 # =============================================================================
 
-def curves_to_csv(curves) -> str:
-    """`theta,r,label` rows, one per sample per curve, radians."""
+def curves_to_csv(source, image_plane) -> str:
+    """`theta,r,label` rows, one per sample per curve, radians.
+
+    The source scan is written twice, labeled ``source`` and
+    ``image_of_source`` (the mapped boundary has the source's
+    coordinates), then the image-plane scan, labeled ``image_plane``.
+    """
     lines = ["theta,r,label"]
-    for curve in curves:
+    for curve, label in ((source, "source"), (source, "image_of_source"),
+                         (image_plane, "image_plane")):
         for theta, r in zip(curve.theta, curve.r):
-            lines.append(f"{float(theta)!r},{float(r)!r},{curve.label}")
+            lines.append(f"{float(theta)!r},{float(r)!r},{label}")
     return "\n".join(lines) + "\n"
 
 
-def rings_to_csv(theta: np.ndarray, points_plus: np.ndarray,
-                 points_minus: np.ndarray) -> str:
-    """`theta,branch,x,y,z` rows for both solution branches."""
+def rings_to_csv(theta: np.ndarray, points: np.ndarray) -> str:
+    """`theta,branch,x,y,z` rows of :func:`~posmap.builtin.ring_points`'
+    (2, T, 3) output: every branch +1 row, then every branch -1 row."""
     lines = ["theta,branch,x,y,z"]
-    for branch, pts in ((1, points_plus), (-1, points_minus)):
+    for branch, pts in zip((1, -1), points):
         for t, p in zip(theta, pts):
             lines.append(f"{float(t)!r},{branch},"
                          f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
@@ -260,26 +266,31 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_section_svg(curves, markers: dict = None) -> str:
-    """Standalone SVG of section boundary curves with marker crosses.
+def render_section_svg(source, image_plane, markers: dict) -> str:
+    """Standalone SVG of a section's boundary curves with marker crosses.
 
-    The image-plane curve is drawn solid, image-of-source (and source)
-    curves dashed, markers as crosses. Axis ticks every 0.25 units.
+    The source scan is drawn dashed, as the mapped boundary (it has the
+    source's coordinates), the image-plane scan solid, markers as
+    crosses. Axis ticks every 0.25 units, coarsened by powers of two
+    where that grid would crowd the picture.
     The CSV is the content contract; this is a convenience view.
 
-    :param curves: BoundaryCurve sequence.
-    :param markers: optional {name: (x, y) or None} points.
+    :param source: BoundaryCurve of the source frame.
+    :param image_plane: BoundaryCurve of the image frame.
+    :param markers: {name: (x, y) or None} points.
     :return: SVG document text.
     """
-    markers = markers or {}
-    pts = [c.xy() for c in curves]
+    pts = [source.xy(), image_plane.xy()]
     allp = np.vstack([p for p in pts if len(p)] or [np.zeros((1, 2))])
     marked = [xy for xy in markers.values() if xy is not None]
     if marked:
         allp = np.vstack([allp, np.asarray(marked, dtype=float)])
     lo = allp.min(axis=0)
     hi = allp.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    # The floor is relative to the coordinates, so a picture of any scale
+    # fills the frame; a zero span, all points at the origin, becomes 1.
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1],
+                     np.finfo(float).eps * np.abs(allp).max())) or 1.0
     scale = (SVG_SIZE - 2 * SVG_PAD) / span
     cx = 0.5 * (lo[0] + hi[0])
     cy = 0.5 * (lo[1] + hi[1])
@@ -295,12 +306,16 @@ def render_section_svg(curves, markers: dict = None) -> str:
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
 
-    # Axes through the plane origin with ticks every 0.25 units.
+    # Axes through the plane origin with ticks every 0.25 units, the grid
+    # doubled until ticks lie SVG_PAD / 2 pixels apart: at most about
+    # 2 SVG_SIZE / SVG_PAD ticks per axis at any scale.
     ox, oy = to_px(0.0, 0.0)
     parts.append('<g stroke="#999" stroke-width="1">')
     parts.append(f'<line x1="0" y1="{_fmt(oy)}" x2="{SVG_SIZE}" y2="{_fmt(oy)}"/>')
     parts.append(f'<line x1="{_fmt(ox)}" y1="0" x2="{_fmt(ox)}" y2="{SVG_SIZE}"/>')
     tick = 0.25
+    while tick * scale < SVG_PAD / 2:
+        tick *= 2.0
     nt = int(span / tick) + 2
     for i in range(-nt, nt + 1):
         tx, _ = to_px(i * tick, 0.0)
@@ -313,12 +328,11 @@ def render_section_svg(curves, markers: dict = None) -> str:
                          f'x2="{_fmt(ox + 4)}" y2="{_fmt(ty)}"/>')
     parts.append('</g>')
 
-    for curve, xy in zip(curves, pts):
+    for xy, dash in zip(pts, (' stroke-dasharray="7 5"', '')):
         if not len(xy):
             continue
         points = " ".join(f"{_fmt(px)},{_fmt(py)}"
                           for px, py in (to_px(x, y) for x, y in xy))
-        dash = '' if curve.label == "image_plane" else ' stroke-dasharray="7 5"'
         parts.append(f'<polygon points="{points}" fill="none" '
                      f'stroke="black" stroke-width="1.5"{dash}/>')
 

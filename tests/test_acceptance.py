@@ -129,8 +129,8 @@ def test_criterion_05_choi_lam_geometry():
     e = np.eye(3)
     diag = plane_from_states(np.eye(3) / 3, np.outer(e[0], e[0]),
                              np.outer(e[1], e[1]), W)
-    dashed = scan_boundary(diag, n_theta=720)
-    solid = scan_boundary(diag, transform="image_plane", n_theta=720)
+    dashed = scan_boundary(*diag.source, n_theta=720)
+    solid = scan_boundary(*diag.image, n_theta=720)
     assert np.abs(np.roll(solid.r, 120) / 2 - dashed.r).max() < 1e-8
     assert np.abs(np.roll(solid.r, -120) / 2 - dashed.r).max() < 1e-8
 
@@ -150,7 +150,7 @@ def test_criterion_06_boundary_radii_oracle():
     e3 = np.eye(3)
     d3 = plane_from_states(np.eye(3) / 3, np.outer(e3[0], e3[0]), np.outer(e3[1], e3[1]),
                            identity_witness(3))
-    curve3 = scan_boundary(d3, n_theta=360)
+    curve3 = scan_boundary(*d3.source, n_theta=360)
     assert abs(curve3.r[0] - np.sqrt(6) / 3) < 1e-9
     assert abs(curve3.r[180] - np.sqrt(6) / 6) < 1e-9
 
@@ -158,7 +158,7 @@ def test_criterion_06_boundary_radii_oracle():
     sz = np.diag([1.0, -1.0]).astype(complex)
     d2 = plane_from_states(np.eye(2) / 2, (np.eye(2) + sx) / 2, (np.eye(2) + sz) / 2,
                            identity_witness(2))
-    curve2 = scan_boundary(d2, n_theta=360)
+    curve2 = scan_boundary(*d2.source, n_theta=360)
     assert np.abs(curve2.r - 1 / np.sqrt(2)).max() < 1e-9
     assert time.perf_counter() - t0 < 5.0
 
@@ -187,11 +187,12 @@ def test_criterion_07_zero_recovery():
 
 
 def _ring_distance(q, branch, grid, ring_cache):
-    """Distance from Bloch point q to the ring, nearest-point search along
-    the parametrization (coarse grid argmin, then golden-section)."""
+    """Distance from Bloch point q to the ring of one branch (0 for +1,
+    1 for -1, ring_points' order), nearest-point search along the
+    parametrization (coarse grid argmin, then golden-section)."""
     i = int(np.linalg.norm(ring_cache[branch] - q, axis=1).argmin())
     lo, hi = grid[i] - 2e-4, grid[i] + 2e-4
-    dist = lambda t: np.linalg.norm(ring_points([t], branch=branch)[0] - q)
+    dist = lambda t: np.linalg.norm(ring_points([t])[branch, 0] - q)
     for _ in range(60):
         m1 = lo + 0.382 * (hi - lo)
         m2 = hi - 0.382 * (hi - lo)
@@ -208,8 +209,8 @@ def test_criterion_08_rings_2x4():
     find_zeros phi-Bloch points within 1e-6 of a ring. Budget 180 s."""
     t0 = time.perf_counter()
     grid = np.linspace(0, 2 * np.pi, 100000, endpoint=False)
-    rings = {b: ring_points(grid, branch=b) for b in (+1, -1)}
-    for R in rings.values():
+    rings = ring_points(grid)
+    for R in rings:
         assert np.abs(np.einsum("ij,ij->i", R, R) - 1.0).max() < 1e-12
 
     cz = ring_common_zeros()
@@ -223,8 +224,8 @@ def test_criterion_08_rings_2x4():
     assert len(zeros) >= 50
     for z in zeros:
         q = state_to_bloch(np.outer(z.phi, z.phi.conj()))
-        d = min(_ring_distance(q, +1, grid, rings),
-                _ring_distance(q, -1, grid, rings))
+        d = min(_ring_distance(q, 0, grid, rings),
+                _ring_distance(q, 1, grid, rings))
         assert d <= 1e-6
     assert time.perf_counter() - t0 < 180.0
 
@@ -244,8 +245,8 @@ def test_criterion_09_map_positivity():
 
     W = horodecki_2x4_witness()
     for theta in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-        for branch in (+1, -1):
-            rho = bloch_to_state(ring_points([theta], branch=branch)[0])
+        for point in ring_points([theta])[:, 0]:
+            rho = bloch_to_state(point)
             Y = apply_map(W, rho)
             sv = np.linalg.svd(Y, compute_uv=False)
             assert int(np.sum(sv > 1e-8 * sv[0])) == 3
@@ -264,7 +265,7 @@ def test_criterion_10_constraint_counting():
     e = np.eye(3)
     assert constraint_rows(W, e[1], e[0]).shape == (9, 80)
     W24 = horodecki_2x4_witness()
-    ring = bloch_to_state(ring_points([0.0])[0])
+    ring = bloch_to_state(ring_points([0.0])[0, 0])
     phi = np.linalg.eigh(ring)[1][:, -1]
     chi = np.linalg.eigh(apply_map(W24, ring))[1][:, 0]
     assert constraint_rows(W24, phi, chi).shape == (9, 63)

@@ -7,7 +7,8 @@ from posmap.builtin import (choi_lam_tangent_section, choi_lam_witness,
 from posmap.hermitian import PSD_TOL, hs_inner, hs_norm
 from posmap.sections import (SECTION_TYPES, SectionPlane,
                              plane_from_states, project_point, scan_boundary,
-                             section_of_type, _scan_rays)
+                             section_of_type)
+from posmap.serialize import curves_to_csv
 
 
 def _diag_plane(W=identity_witness(3)):
@@ -97,8 +98,7 @@ def test_diag_section_image_constants():
 def test_scan_source_triangle():
     """Source boundary of the diagonal section passes through rho1."""
     plane = _diag_plane()
-    curve = scan_boundary(plane)
-    assert curve.label == "source"
+    curve = scan_boundary(*plane.source)
     assert curve.theta.shape == (720,)
     a = plane.abc[0]
     assert abs(curve.r[0] - 1 / a) < 1e-9
@@ -120,10 +120,9 @@ def test_scan_boundary_tightness():
     W = choi_lam_witness()
     for kind in SECTION_TYPES:
         plane = section_of_type(kind, W)
-        for transform, (origin, B, C) in (
-                ("none", (plane.rho0, plane.B, plane.C)),
-                ("image_plane", (plane.image_rho0, plane.image_B, plane.image_C))):
-            curve = scan_boundary(plane, transform=transform, n_theta=36)
+        for frame, (origin, B, C) in (("source", plane.source),
+                                      ("image", plane.image)):
+            curve = scan_boundary(origin, B, C, n_theta=36)
             d, V = np.linalg.eigh(origin)
             F = V[:, d > PSD_TOL * d[-1]]
             U = (np.cos(curve.theta)[:, None, None] * B
@@ -132,18 +131,22 @@ def test_scan_boundary_tightness():
                                 (1.001, lambda low: low < 0)):
                 X = origin + step * curve.r[:, None, None] * U
                 low = np.linalg.eigvalsh(F.conj().T @ X @ F)[:, 0]
-                assert np.all(check(low)), (kind, transform, step, low)
+                assert np.all(check(low)), (kind, frame, step, low)
 
 
 def test_scan_labels_and_carryover():
+    """The writer labels the curves by role: the source scan is written
+    as ``source`` and again, sample for sample, as ``image_of_source``;
+    the image-frame scan as ``image_plane``."""
     W = choi_lam_witness()
     plane = _diag_plane(W)
-    src = scan_boundary(plane)
-    solid = scan_boundary(plane, transform="image_plane")
-    assert src.label == "source"
-    assert solid.label == "image_plane"
-    with pytest.raises(ValueError):
-        scan_boundary(plane, transform="sideways")
+    src = scan_boundary(*plane.source, n_theta=8)
+    solid = scan_boundary(*plane.image, n_theta=8)
+    rows = [line.split(",") for line in curves_to_csv(src, solid).splitlines()[1:]]
+    assert [label for _, _, label in rows] == (
+        ["source"] * 8 + ["image_of_source"] * 8 + ["image_plane"] * 8)
+    assert [row[:2] for row in rows[:8]] == [row[:2] for row in rows[8:16]]
+    assert [float(r) for _, r, _ in rows[16:]] == solid.r.tolist()
 
 
 def test_diag_image_plane_is_medial_triangle():
@@ -151,8 +154,8 @@ def test_diag_image_plane_is_medial_triangle():
     and scaled by one half, pointwise over the ray grid."""
     W = choi_lam_witness()
     plane = _diag_plane(W)
-    dashed = scan_boundary(plane)
-    solid = scan_boundary(plane, transform="image_plane")
+    dashed = scan_boundary(*plane.source)
+    solid = scan_boundary(*plane.image)
     n = dashed.r.size
     shift = n // 6  # 60 degrees
     assert np.abs(np.roll(solid.r, shift) / 2 - dashed.r).max() < 1e-8
@@ -187,7 +190,7 @@ def test_section_type_e_boundary_circle():
     the pure-state sphere radius.
     """
     plane = section_of_type("E", identity_witness(3))
-    curve = scan_boundary(plane, n_theta=90)
+    curve = scan_boundary(*plane.source, n_theta=90)
     xy = curve.xy()
     A = np.column_stack([2 * xy[:, 0], 2 * xy[:, 1], np.ones(len(xy))])
     rhs = (xy ** 2).sum(axis=1)
@@ -235,9 +238,19 @@ def test_image_plane_free_of_the_map_scale(c):
     for kind in ("diag", "tangent", "A"):
         plane, scaled = section_of_type(kind, W), section_of_type(kind, cW)
         assert np.allclose(np.array(scaled.abc) * c, plane.abc, rtol=1e-12, atol=0)
-        r, rc = (scan_boundary(p, transform="image_plane", n_theta=36).r
-                 for p in (plane, scaled))
+        r, rc = (scan_boundary(*p.image, n_theta=36).r for p in (plane, scaled))
         assert np.allclose(rc / c, r, rtol=1e-12, atol=0), kind
+
+
+@pytest.mark.parametrize("exponent", [-1050, -1060])
+@pytest.mark.filterwarnings("error")
+def test_plane_refuses_a_map_beyond_the_float_range(exponent):
+    """On choi-lam scaled by 2^-1050 the frame constants a, b ~ 2^1050
+    exceed the float range, so no plane exists: the error names the
+    map's scale, with no overflow warning on the way."""
+    W = Witness(3, 3, 2.0**exponent * choi_lam_witness().matrix)
+    with pytest.raises(ValueError, match=r"map of scale \S+ .* beyond the float range"):
+        section_of_type("diag", W)
 
 
 def test_tangent_runs_on_a_3xn_map():
@@ -246,8 +259,8 @@ def test_tangent_runs_on_a_3xn_map():
     W = choi_lam_witness()
     K = np.kron(np.eye(3), np.eye(4, 3))
     W4 = Witness(3, 4, K @ W.matrix @ K.T)
-    r3, r4 = (scan_boundary(section_of_type("tangent", w), transform="image_plane",
-                            n_theta=36).r for w in (W, W4))
+    r3, r4 = (scan_boundary(*section_of_type("tangent", w).image, n_theta=36).r
+              for w in (W, W4))
     assert np.abs(r4 / r3 - 1).max() < 1e-12
 
 
@@ -257,10 +270,25 @@ def test_unknown_section_type():
 
 
 def test_scan_rays_unbounded_error():
-    # a non-traceless direction keeps X = I + r I positive forever
-    theta = np.array([0.0])
-    with pytest.raises(ValueError):
-        _scan_rays(np.eye(2), np.eye(2), np.zeros((2, 2)), theta)
+    # a zero axis B keeps X = I + r B positive forever on the ray theta = 0
+    with pytest.raises(ValueError, match="unbounded"):
+        scan_boundary(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]))
+
+
+def test_scan_refuses_a_source_frame_with_a_traced_axis():
+    """A hand-built plane is not checked when it is made; its source
+    frame meets the one trace rule of every scan, which refuses an axis
+    with a trace. Traceless axes of the same plane scan."""
+    plane = _diag_plane()
+    traced = SectionPlane(plane.rho0, plane.B + 1e-6 * np.eye(3), plane.C,
+                          plane.abc, plane.image_rho0, plane.image_B, plane.image_C)
+    with pytest.raises(ValueError, match="constant positive trace"):
+        scan_boundary(*traced.source)
+    negative = SectionPlane(-plane.rho0, plane.B, plane.C, plane.abc,
+                            plane.image_rho0, plane.image_B, plane.image_C)
+    with pytest.raises(ValueError, match="constant positive trace"):
+        scan_boundary(*negative.source)
+    scan_boundary(*plane.source, n_theta=8)
 
 
 def test_scan_rejects_indefinite_origin():
@@ -268,7 +296,7 @@ def test_scan_rejects_indefinite_origin():
     plane = plane_from_states(np.diag([1.2, -0.1, -0.1]), np.outer(e[0], e[0]),
                               np.outer(e[1], e[1]), identity_witness(3))
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        scan_boundary(plane)
+        scan_boundary(*plane.source)
 
 
 def test_scan_rejects_axes_off_the_origin_face():
@@ -282,11 +310,11 @@ def test_scan_rejects_axes_off_the_origin_face():
         plane = plane_from_states(np.outer(e[0], e[0]), np.eye(3) / 3,
                                   np.outer(e[1], e[1]), W)
         with pytest.raises(ValueError, match="face"):
-            scan_boundary(plane)
+            scan_boundary(*plane.source)
 
 
 def test_scan_deterministic():
     plane = _diag_plane()
-    c1 = scan_boundary(plane, n_theta=64)
-    c2 = scan_boundary(plane, n_theta=64)
+    c1 = scan_boundary(*plane.source, n_theta=64)
+    c2 = scan_boundary(*plane.source, n_theta=64)
     assert np.abs(c1.r - c2.r).max() == 0.0

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -168,11 +170,12 @@ def test_diagnostics_json_structure():
 
 def test_curves_csv_format():
     plane = section_of_type("D", identity_witness(3))
-    curve = scan_boundary(plane, n_theta=8)
-    text = curves_to_csv([curve])
+    curve = scan_boundary(*plane.source, n_theta=8)
+    image = scan_boundary(*plane.image, n_theta=8)
+    text = curves_to_csv(curve, image)
     lines = text.strip().split("\n")
     assert lines[0] == "theta,r,label"
-    assert len(lines) == 9
+    assert len(lines) == 25
     theta, r, label = lines[1].split(",")
     assert label == "source"
     assert float(theta) == curve.theta[0]
@@ -181,9 +184,9 @@ def test_curves_csv_format():
 
 def test_rings_csv_format():
     thetas = np.linspace(0, 2 * np.pi, 5, endpoint=False)
-    plus = ring_points(thetas, branch=+1)
-    minus = ring_points(thetas, branch=-1)
-    text = rings_to_csv(thetas, plus, minus)
+    points = ring_points(thetas)
+    plus = points[0]
+    text = rings_to_csv(thetas, points)
     lines = text.strip().split("\n")
     assert lines[0] == "theta,branch,x,y,z"
     assert len(lines) == 11
@@ -194,11 +197,47 @@ def test_rings_csv_format():
 
 def test_svg_renderer():
     plane = section_of_type("D", identity_witness(3))
-    curve = scan_boundary(plane, n_theta=16)
-    svg = render_section_svg([curve], markers={"origin": (0.0, 0.0)})
+    curve = scan_boundary(*plane.source, n_theta=16)
+    image = scan_boundary(*plane.image, n_theta=16)
+    svg = render_section_svg(curve, image, markers={"origin": (0.0, 0.0)})
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert "polygon" in svg
     assert "origin" in svg
     assert "id=" not in svg  # nothing nondeterministic
-    assert render_section_svg([curve], markers={"origin": (0.0, 0.0)}) == svg
+    assert svg.count("<polygon") == 2 and svg.count("stroke-dasharray") == 1
+    assert render_section_svg(curve, image, markers={"origin": (0.0, 0.0)}) == svg
+
+
+def _diag_svg(c):
+    """SVG of the diag section of c * choi-lam, 60 rays, with the rho1
+    marker, which scales with the map as the curves do."""
+    plane = section_of_type("diag", Witness(3, 3, c * choi_lam_witness().matrix))
+    markers = {"rho1_image": (1.0 / plane.abc[0], 0.0)}
+    return render_section_svg(scan_boundary(*plane.source, n_theta=60),
+                              scan_boundary(*plane.image, n_theta=60), markers)
+
+
+def _polygon_extent(svg):
+    xy = np.array([[float(v) for v in pair.split(",")]
+                   for points in re.findall(r'points="([^"]*)"', svg)
+                   for pair in points.split()])
+    return np.concatenate([xy.min(axis=0), xy.max(axis=0)])
+
+
+def test_svg_ticks_bounded_at_any_map_scale():
+    """The 0.25 tick grid coarsens where it would crowd the picture: at
+    c = 1e6 the plane spans ~1e6 units, and a tick every 0.25 units drew
+    13.4 M lines in 44 s."""
+    t0 = time.perf_counter()
+    svg = _diag_svg(1e6)
+    assert time.perf_counter() - t0 < 0.5
+    assert svg.count("<line") < 100
+
+
+def test_svg_fills_the_picture_at_any_map_scale():
+    """The span floor is relative to the coordinates: at c = 1e-12 the
+    curves fill the picture as at c = 1, not 0.76 px of it."""
+    extent = _polygon_extent(_diag_svg(1.0))
+    assert extent[2] - extent[0] > 400
+    assert np.abs(_polygon_extent(_diag_svg(1e-12)) - extent).max() <= 0.01
