@@ -138,19 +138,28 @@ def _cmd_section(args) -> int:
     image_plane = scan_boundary(*plane.image, n_theta=args.samples)
 
     a, b, c = plane.abc
+    # a and b scale as 1/map, so a * b leaves the float range on a map of
+    # scale 2^±600; with both factors brought to unit exponent it cannot,
+    # and the powers of two leave the bits at normal scales as they were.
+    ea, eb = np.frexp(a)[1], np.frexp(b)[1]
     markers = {
         "rho1_image": (1.0 / a, 0.0),
-        "rho2_image": (-c / (a * b), 1.0 / b),
+        "rho2_image": (np.ldexp(-c / (np.ldexp(a, -ea) * np.ldexp(b, -eb)), -ea - eb),
+                       1.0 / b),
         "max_mixed_projection": project_point(
             plane, np.eye(W.n, dtype=complex) / W.n),
     }
 
-    atomic_write(args.output, curves_to_csv(source, image_plane))
-    atomic_write(os.path.splitext(args.output)[0] + ".json",
-                 section_sidecar_to_json(args.type, plane, args.samples, seed,
-                                         markers))
+    # Every output is formed before the first is written, so a failure
+    # leaves none of them behind.
+    outputs = [(args.output, curves_to_csv(source, image_plane)),
+               (os.path.splitext(args.output)[0] + ".json",
+                section_sidecar_to_json(args.type, plane, args.samples, seed,
+                                        markers))]
     if args.svg:
-        atomic_write(args.svg, render_section_svg(source, image_plane, markers))
+        outputs.append((args.svg, render_section_svg(source, image_plane, markers)))
+    for path, text in outputs:
+        atomic_write(path, text)
     return 0
 
 

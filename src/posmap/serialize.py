@@ -57,7 +57,12 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The JSON document of obj: two-space indent, sorted keys.
+
+    :raises ValueError: if a number is NaN or infinite, which json
+        would write as ``NaN`` or ``Infinity`` and the readers refuse.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # =============================================================================
@@ -235,22 +240,24 @@ def curves_to_csv(source, image_plane) -> str:
     ``image_of_source`` (the mapped boundary has the source's
     coordinates), then the image-plane scan, labeled ``image_plane``.
     """
-    lines = ["theta,r,label"]
-    for curve, label in ((source, "source"), (source, "image_of_source"),
-                         (image_plane, "image_plane")):
-        for theta, r in zip(curve.theta, curve.r):
-            lines.append(f"{float(theta)!r},{float(r)!r},{label}")
+    def rows(curve, *labels):
+        pairs = [f"{t!r},{r!r},"
+                 for t, r in zip(curve.theta.tolist(), curve.r.tolist())]
+        return [pair + label for label in labels for pair in pairs]
+
+    lines = ["theta,r,label", *rows(source, "source", "image_of_source"),
+             *rows(image_plane, "image_plane")]
     return "\n".join(lines) + "\n"
 
 
 def rings_to_csv(theta: np.ndarray, points: np.ndarray) -> str:
     """`theta,branch,x,y,z` rows of :func:`~posmap.builtin.ring_points`'
     (2, T, 3) output: every branch +1 row, then every branch -1 row."""
+    theta = theta.tolist()
     lines = ["theta,branch,x,y,z"]
-    for branch, pts in zip((1, -1), points):
-        for t, p in zip(theta, pts):
-            lines.append(f"{float(t)!r},{branch},"
-                         f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
+    for branch, pts in zip((1, -1), points.tolist()):
+        lines += [f"{t!r},{branch},{x!r},{y!r},{z!r}"
+                  for t, (x, y, z) in zip(theta, pts)]
     return "\n".join(lines) + "\n"
 
 
@@ -331,8 +338,8 @@ def render_section_svg(source, image_plane, markers: dict) -> str:
     for xy, dash in zip(pts, (' stroke-dasharray="7 5"', '')):
         if not len(xy):
             continue
-        points = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                          for px, py in (to_px(x, y) for x, y in xy))
+        px, py = to_px(xy[:, 0], xy[:, 1])
+        points = " ".join(["%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist())])
         parts.append(f'<polygon points="{points}" fill="none" '
                      f'stroke="black" stroke-width="1.5"{dash}/>')
 

@@ -147,6 +147,61 @@ def test_section_outputs(tmp_path):
     assert text.startswith("<svg")
 
 
+@pytest.mark.parametrize("failure", ["svg", "sidecar"])
+def test_section_failure_leaves_no_output(monkeypatch, tmp_path, capsys, failure):
+    """Every output is formed before the first is written: an SVG that
+    cannot be drawn, or a sidecar with a non-finite marker, which the
+    JSON writer refuses, leaves no file behind, at exit 4."""
+    import posmap.cli as cli
+    if failure == "svg":
+        def broken(*args):
+            raise ValueError("cannot draw")
+        monkeypatch.setattr(cli, "render_section_svg", broken)
+    else:
+        monkeypatch.setattr(cli, "project_point", lambda plane, X: (np.nan, 0.0))
+    code = cli.main(["section", "--builtin", "choi-lam", "--type", "diag",
+                     "--samples", "24", "--output", str(tmp_path / "s.csv"),
+                     "--svg", str(tmp_path / "s.svg")])
+    assert code == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def _numbers(obj):
+    """Every float of a parsed JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [v for item in obj for v in _numbers(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@pytest.mark.filterwarnings("error")
+def test_section_markers_scale_with_the_map(tmp_path):
+    """On choi-lam scaled by 2^600 or 2^-600 the product a b of the plane
+    constants leaves the float range. The markers rho1_image = (1/a, 0)
+    and rho2_image = (-c/(a b), 1/b) scale with the map, since a, b and c
+    scale as its inverse: they are those of choi-lam times the scale, bit
+    for bit, every sidecar number is finite and the SVG is drawn."""
+    from posmap.builtin import choi_lam_witness
+    from posmap.cli import main
+
+    def sidecar(k):
+        w = tmp_path / f"w{k}.json"
+        w.write_text(witness_to_json(Witness(3, 3, 2.0**k * choi_lam_witness().matrix)))
+        svg = tmp_path / f"s{k}.svg"
+        assert main(["section", "--input", str(w), "--type", "diag",
+                     "--output", str(tmp_path / f"s{k}.csv"), "--svg", str(svg)]) == 0
+        assert svg.read_text().rstrip().endswith("</svg>")
+        return json.loads((tmp_path / f"s{k}.json").read_text())
+
+    base = sidecar(0)
+    for k in (600, -600):
+        meta = sidecar(k)
+        assert np.isfinite(_numbers(meta)).all()
+        for name in ("rho1_image", "rho2_image"):
+            assert meta["markers"][name] == [2.0**k * v for v in base["markers"][name]]
+
+
 def test_section_tangent_requires_3x3():
     proc = run_cli("section", "--builtin", "horodecki-2x4", "--type", "tangent",
                    "--output", "/tmp/never-written.csv")

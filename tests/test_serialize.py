@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,13 +11,13 @@ from posmap.bipartite import Witness, diagnostics
 from posmap.builtin import (choi_lam_witness, horodecki_2x4_witness,
                             identity_witness, ring_points)
 from posmap.normalize import normalize
-from posmap.sections import scan_boundary, section_of_type
-from posmap.serialize import (FormatError, atomic_write, curves_to_csv,
+from posmap.sections import BoundaryCurve, scan_boundary, section_of_type
+from posmap.serialize import (SVG_SIZE, FormatError, atomic_write, curves_to_csv,
                               diagnostics_to_json, hermitian_from_obj,
                               hermitian_to_obj, normalization_to_json,
                               render_section_svg, rings_to_csv,
-                              witness_from_json, witness_to_json,
-                              zeros_to_json)
+                              section_sidecar_to_json, witness_from_json,
+                              witness_to_json, zeros_to_json)
 from posmap.zeros import ProductZero, find_zeros
 
 
@@ -207,6 +208,111 @@ def test_svg_renderer():
     assert "id=" not in svg  # nothing nondeterministic
     assert svg.count("<polygon") == 2 and svg.count("stroke-dasharray") == 1
     assert render_section_svg(curve, image, markers={"origin": (0.0, 0.0)}) == svg
+
+
+# Writer references: the same documents formatted one row or point at a
+# time, float by float. The stacked writers must give the same bytes.
+
+def _curves_csv_reference(source, image_plane):
+    lines = ["theta,r,label"]
+    for curve, label in ((source, "source"), (source, "image_of_source"),
+                         (image_plane, "image_plane")):
+        for theta, r in zip(curve.theta, curve.r):
+            lines.append(f"{float(theta)!r},{float(r)!r},{label}")
+    return "\n".join(lines) + "\n"
+
+
+def _rings_csv_reference(theta, points):
+    lines = ["theta,branch,x,y,z"]
+    for branch, pts in zip((1, -1), points):
+        for t, p in zip(theta, pts):
+            lines.append(f"{float(t)!r},{branch},"
+                         f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _polygon_reference(xy, cx, cy, scale):
+    def to_px(x, y):
+        return (SVG_SIZE / 2 + (x - cx) * scale,
+                SVG_SIZE / 2 - (y - cy) * scale)
+    return " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(x, y) for x, y in xy))
+
+
+# Signed zeros, subnormals, the float range's ends and repr-length digits.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                    1e300, -1e300, 0.1, 1 / 3, np.pi, 1e16, 123456789.125])
+
+
+def _scanned(n_theta):
+    plane = section_of_type("diag", choi_lam_witness())
+    return (scan_boundary(*plane.source, n_theta=n_theta),
+            scan_boundary(*plane.image, n_theta=n_theta))
+
+
+@pytest.mark.parametrize("curves", [
+    (BoundaryCurve(SPECIAL, SPECIAL[::-1]), BoundaryCurve(-SPECIAL, SPECIAL)),
+    (BoundaryCurve([0.0], [1e300]), BoundaryCurve([-0.0], [5e-324])),
+    _scanned(1), _scanned(37)])
+def test_curves_csv_matches_the_row_reference(curves):
+    assert curves_to_csv(*curves) == _curves_csv_reference(*curves)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+def test_rings_csv_matches_the_row_reference(samples):
+    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    points = ring_points(theta)
+    assert rings_to_csv(theta, points) == _rings_csv_reference(theta, points)
+    special = np.stack([SPECIAL, -SPECIAL, SPECIAL[::-1]], axis=1)
+    points = np.stack([special, special[::-1]])
+    assert rings_to_csv(SPECIAL, points) == _rings_csv_reference(SPECIAL, points)
+
+
+class _Points:
+    """A curve as the renderer reads it: its Cartesian points."""
+
+    def __init__(self, xy):
+        self._xy = np.asarray(xy, dtype=float)
+
+    def xy(self):
+        return self._xy
+
+
+@pytest.mark.parametrize("half, center", [(270.0, 0.0), (135.0, 0.0), (4.0, 0.0),
+                                          (4.0, 1.5)])
+def test_svg_polygons_match_the_point_reference(half, center):
+    """Markers at center + (-half, -half) and center + (half, half) fix
+    the frame: its center is exact, and so is the scale
+    (SVG_SIZE - 2 SVG_PAD) / (2 half). At scale 1 and 2 about the origin
+    the points with fractions .125, .375, .625 and .875 land exactly on
+    .xx5 pixels, where %.2f rounds half to even."""
+    scale = 270.0 / half
+    rng = np.random.default_rng(5)
+    steps = np.array([0.125, 0.375, 0.625, 0.875, 0.005, 0.015])
+    exact = np.column_stack([rng.integers(-100, 100, 24) + rng.choice(steps, 24),
+                             rng.integers(-100, 100, 24) + rng.choice(steps, 24)])
+    source, image = _scanned(90)
+    cases = [(_Points(center + exact / scale), _Points(center + exact[::-1] / scale)),
+             (source, image)]
+    markers = {"low": (center - half, center - half),
+               "high": (center + half, center + half), "none": None}
+    for curves in cases:
+        xys = [curve.xy() for curve in curves]
+        assert all(np.abs(xy - center).max() <= half for xy in xys)
+        svg = render_section_svg(*curves, markers)
+        found = re.findall(r'points="([^"]*)"', svg)
+        assert found == [_polygon_reference(xy, center, center, scale) for xy in xys]
+
+
+def test_documents_refuse_non_finite_numbers():
+    """What the readers refuse, no writer writes: a NaN or infinite
+    number raises ValueError in place of a NaN or Infinity token."""
+    plane = section_of_type("diag", choi_lam_witness())
+    for marker in ((-np.inf, 1.0), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            section_sidecar_to_json("diag", plane, 8, 1, {"rho2_image": marker})
+    result = normalize(choi_lam_witness())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        normalization_to_json(dataclasses.replace(result, history=[*result.history, np.inf]))
 
 
 def _diag_svg(c):
