@@ -64,3 +64,7 @@ sys3 = posmap.constraint_rank(W, [(e[0], e[2]), (e[1], e[0]), (e[2], e[1])])
 print("three isolated zeros stack to", sys3.rows.shape, "with rank", sys3.rank)
 print("(a generic extremal witness needs 9 zeros for rank 80 = dim of the")
 print(" traceless witness space; the builtin compensates with its continuum)")
+full = posmap.constraint_rank(W, zeros)
+print(f"all {full.zero_count} zeros of the sweep: rank {full.rank}, last counted "
+      f"singular value {full.last_counted:.1e} of the largest, first dropped "
+      f"{full.first_dropped:.1e}")

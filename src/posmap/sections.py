@@ -252,6 +252,12 @@ def section_of_type(kind: str, W: Witness, seed: int = 42) -> SectionPlane:
 # Boundary scans
 # =============================================================================
 
+def _ldexp(X: np.ndarray, k: int) -> np.ndarray:
+    """X times 2^k, exact where the result stays normal. ``ldexp`` takes
+    no complex input, and the factor 2^k itself overflows for k > 1023."""
+    return np.ldexp(X.real, k) + 1j * np.ldexp(X.imag, k)
+
+
 def scan_boundary(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
                   n_theta: int = 720) -> BoundaryCurve:
     """Scan the positivity boundary of one frame, origin + x B + y C.
@@ -280,7 +286,11 @@ def scan_boundary(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
     turns origin + r U >= 0 into I + r L(theta) >= 0, where
     L(theta) = cos(theta) P^dag B P + sin(theta) P^dag C P, so
     r*(theta) = -1 / lambda_min(L(theta)): one eigh of the origin and one
-    stacked eigvalsh over the rays.
+    stacked eigvalsh over the rays. L is of order |U| / t, which leaves
+    the float range when the axes and the origin lie far apart in scale
+    (the source axes of a map near the subnormal range reach 1e308);
+    then the scan runs on the frame taken to unit exponent and scales
+    the radii back by a power of two.
 
     :param origin: origin of the frame, Hermitian.
     :param B: first axis, Hermitian of the origin's shape.
@@ -300,6 +310,15 @@ def scan_boundary(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
             for axis in (B, C))):
         raise ValueError("image plane does not have a constant positive trace; "
                          "the map must preserve trace on the plane up to a scale")
+    # L is of order 2^(e - f) and P^dag B of 2^(e - f / 2): past a quarter
+    # of the exponent range between the axes' e and the trace's f, the
+    # frame goes to unit exponent, which scales each radius by 2^(e - f).
+    axes = np.stack([B, C])
+    e = np.frexp(np.abs(np.stack([axes.real, axes.imag])).max())[1]
+    f = np.frexp(t)[1]
+    shift = 0
+    if abs(e - f) > np.finfo(float).maxexp // 4:
+        origin, B, C, shift = _ldexp(origin, -f), _ldexp(B, -e), _ldexp(C, -e), f - e
     d, V = np.linalg.eigh(origin)
     if not is_psd(d):
         raise ValueError(f"section origin is not positive semidefinite "
@@ -318,7 +337,7 @@ def scan_boundary(origin: np.ndarray, B: np.ndarray, C: np.ndarray,
     if np.any(lam >= 0.0):
         raise ValueError("unbounded section: a ray never leaves the "
                          "positive semidefinite cone")
-    return BoundaryCurve(theta, -1.0 / lam)
+    return BoundaryCurve(theta, np.ldexp(-1.0 / lam, shift))
 
 
 def project_point(plane: SectionPlane, X: np.ndarray) -> tuple[float, float]:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bipartite import (Witness, _expectation, apply_map, apply_transposed_map,
-                        biquadratic_form)
+                        biquadratic_form, partial_transpose)
 from .hermitian import hermitian_basis, hs_norm
 
 __all__ = [
@@ -97,11 +97,16 @@ class ConstraintSystem:
     ``rows`` has one row per constraint in the traceless orthonormal
     witness coordinates (N^2 - 1 columns, N = m n); ``rank`` is the
     numerical rank; ``zero_count`` the number of distinct zeros used.
+    The rank's margin: ``last_counted`` is the smallest singular value
+    counted toward the rank and ``first_dropped`` the largest one left
+    out, each relative to the largest; either is 0 where there is none.
     """
 
     rows: np.ndarray = field(repr=False)
     rank: int
     zero_count: int
+    last_counted: float
+    first_dropped: float
 
 
 class NotBlockPositiveError(ValueError):
@@ -757,6 +762,20 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42) -> list:
     on the other zeros found. Every phase runs once over the stack of
     its starts.
 
+    Before the search a spectral certificate settles the witnesses
+    whose spectra rule out a product zero. For unit phi
+    and chi, psi = phi (x) chi is a unit vector, so
+    f_A(phi, chi) = psi^dag A psi >= lambda_min(A); and
+    f_A(phi, chi) = f_{A^Gamma}(phi, conj(chi)), A^Gamma the partial
+    transpose, so also f_A >= lambda_min(A^Gamma). If the larger bound
+    exceeds 2 :data:`ZERO_TOL` * ||A||, the search returns ``[]``
+    without drawing a start. That is the list the search itself would
+    return: every value it computes is at least the bound less a
+    rounding error of order mn eps ||A||, far below the margin of
+    :data:`ZERO_TOL` * ||A||, so it would accept no start and find none
+    below -:data:`ZERO_TOL` * ||A||. Every other witness, at or below
+    the margin, runs the search.
+
     :param W: witness.
     :param starts: number of random starting vectors (0 finds nothing).
     :param seed: RNG seed for the starts.
@@ -772,6 +791,11 @@ def find_zeros(W: Witness, starts: int = 500, seed: int = 42) -> list:
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
     tol = ZERO_TOL * _scale(W)
+    # f_A >= lambda_min(A) and f_A = f_{A^Gamma} >= lambda_min(A^Gamma) on
+    # unit vectors: above 2 tol no start can reach a zero or go negative.
+    bound = max(np.linalg.eigvalsh(A.matrix)[0] for A in (W, partial_transpose(W)))
+    if bound > 2.0 * tol:
+        return []
     rng = np.random.default_rng(seed)
     # Start k draws m real parts, then m imaginary parts.
     draws = rng.normal(size=(starts, 2, W.m))
@@ -858,4 +882,8 @@ def constraint_rank(W: Witness, zeros) -> ConstraintSystem:
     rows = rows.reshape(-1, rows.shape[-1])
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * sv.max(initial=0.0)))
-    return ConstraintSystem(rows=rows, rank=rank, zero_count=len(kept))
+    # Singular values relative to the largest, and a 0 for "none dropped".
+    rel = np.append(sv / sv[0], 0.0) if rank else np.zeros(1)
+    return ConstraintSystem(rows=rows, rank=rank, zero_count=len(kept),
+                            last_counted=float(rel[rank - 1]) if rank else 0.0,
+                            first_dropped=float(rel[rank]))

@@ -274,13 +274,26 @@ def test_criterion_10_constraint_counting():
     assert sys3.rows.shape == (27, 80)
     assert sys3.rank == 27
 
+    def margin(name, system):
+        # The rank alone cannot tell a clean certificate from a marginal
+        # one: print the last counted and first dropped singular values.
+        print(f"criterion 10: {name} rank {system.rank}, last counted "
+              f"{system.last_counted:.3e}, first dropped {system.first_dropped:.3e}")
+        return system
+
+    # The builtins are extremal: their own zeros fix them up to scale.
+    for name, Wb, starts, seed, rank in (("choi-lam", W, 500, 42, 80),
+                                         ("horodecki-2x4", W24, 200, 11, 63)):
+        system = margin(name, constraint_rank(Wb, find_zeros(Wb, starts, seed)))
+        assert system.rank == rank and system.first_dropped == 0.0
+
     if os.path.exists(FIXTURE):
         with open(FIXTURE) as fh:
             Wx = witness_from_json(fh.read())
         zeros = find_zeros(Wx, starts=300, seed=42)
         quad = [z for z in zeros if z.kind == "quadratic"]
         assert len(quad) == 9
-        assert constraint_rank(Wx, quad).rank == 80
+        assert margin("extremal fixture", constraint_rank(Wx, quad)).rank == 80
     else:
         warnings.warn("extremal witness fixture absent; rank-80 check skipped",
                       stacklevel=1)

@@ -8,6 +8,7 @@ import pytest
 
 import posmap
 from posmap.bipartite import Witness
+from posmap.builtin import choi_lam_witness
 from posmap.serialize import witness_from_json, witness_to_json
 
 CLI = [sys.executable, "-m", "posmap"]
@@ -182,7 +183,6 @@ def test_section_markers_scale_with_the_map(tmp_path):
     and rho2_image = (-c/(a b), 1/b) scale with the map, since a, b and c
     scale as its inverse: they are those of choi-lam times the scale, bit
     for bit, every sidecar number is finite and the SVG is drawn."""
-    from posmap.builtin import choi_lam_witness
     from posmap.cli import main
 
     def sidecar(k):
@@ -200,6 +200,27 @@ def test_section_markers_scale_with_the_map(tmp_path):
         assert np.isfinite(_numbers(meta)).all()
         for name in ("rho1_image", "rho2_image"):
             assert meta["markers"][name] == [2.0**k * v for v in base["markers"][name]]
+
+
+@pytest.mark.parametrize("kind, code", [("diag", 0), ("tangent", 4)])
+def test_section_at_the_subnormal_end(tmp_path, kind, code):
+    """On choi-lam scaled by 2^-1022 the diag plane is scanned without a
+    numpy warning, and the tangent plane, whose constants leave the float
+    range, is refused by name; no LinAlgError text reaches the user."""
+    w = tmp_path / "w.json"
+    w.write_text(witness_to_json(Witness(3, 3, 2.0**-1022 * choi_lam_witness().matrix)))
+    out = tmp_path / "s.csv"
+    proc = run_cli("section", "--input", str(w), "--type", kind, "--output", str(out),
+                   env_extra={"PYTHONWARNINGS": "error"})
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "beyond the float range" in proc.stderr
+        assert not out.exists()
+    else:
+        assert proc.stderr == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(0.0 < float(r) < 1e-307 for _, r, _ in rows)
+    assert "converge" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_section_tangent_requires_3x3():

@@ -253,6 +253,42 @@ def test_plane_refuses_a_map_beyond_the_float_range(exponent):
         section_of_type("diag", W)
 
 
+@pytest.mark.filterwarnings("error")
+def test_scan_free_of_the_scale_at_the_float_range_ends():
+    """On choi-lam scaled by 2^-1022 the diag plane's source axes reach
+    7e307, and whitening them as given overflows. The scan brings the
+    frame to unit exponent and the radii back by ldexp, so both frames
+    give the radii at scale 1 times 2^-1022 (subnormal there, so to a
+    couple of bits), with no numpy warning; a plane beyond the float
+    range is refused by name."""
+    base = section_of_type("diag", choi_lam_witness())
+    for k in (-1022, -1000, 1000):
+        plane = section_of_type("diag", Witness(3, 3, 2.0**k * choi_lam_witness().matrix))
+        if k == -1022:
+            assert np.abs(plane.B).max() > 1e307
+        for frame in ("source", "image"):
+            r, r0 = (scan_boundary(*getattr(p, frame), n_theta=72).r for p in (plane, base))
+            assert np.allclose(np.ldexp(r, -k), r0, rtol=1e-14, atol=0), (k, frame)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        section_of_type("tangent", Witness(3, 3, 2.0**-1022 * choi_lam_witness().matrix))
+
+
+@pytest.mark.parametrize("kind", ["diag", "tangent", "A", "E"])
+def test_scan_runs_on_the_frame_as_given_at_normal_scales(kind):
+    """Within a quarter of the exponent range the frame is not rescaled:
+    the radii are -1/lambda_min of the whitened rays bit for bit."""
+    plane = section_of_type(kind, choi_lam_witness())
+    theta = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
+    for origin, B, C in (plane.source, plane.image):
+        d, V = np.linalg.eigh(origin)
+        face = d > PSD_TOL * d[-1]
+        P = V[:, face] / np.sqrt(d[face])
+        L = (np.cos(theta)[:, None, None] * (P.conj().T @ B @ P)
+             + np.sin(theta)[:, None, None] * (P.conj().T @ C @ P))
+        assert np.array_equal(scan_boundary(origin, B, C, n_theta=36).r,
+                              -1.0 / np.linalg.eigvalsh(L)[:, 0])
+
+
 def test_tangent_runs_on_a_3xn_map():
     """tangent needs only a 3 x 3 source: choi-lam followed by an
     isometry into C^4 has the same image boundary as choi-lam."""

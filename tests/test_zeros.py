@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from posmap.bipartite import Witness, apply_map, apply_transposed_map, biquadratic_form
+from posmap.bipartite import (Witness, apply_map, apply_transposed_map, biquadratic_form,
+                              partial_transpose)
 from posmap.builtin import (choi_lam_continuum_zero, choi_lam_witness,
                             horodecki_2x4_witness, identity_witness,
                             transposition_witness)
@@ -310,6 +311,28 @@ def test_builtins_certified_extremal_by_own_zeros(witness, starts, seed, rank):
     assert (W.m * W.n) ** 2 - 1 == rank
     assert system.rank == rank
     assert system.zero_count == len(zeros)
+    # Full rank drops nothing; choi-lam counts its last value at 1.2e-9.
+    assert system.first_dropped == 0.0
+    assert zeros_mod.RANK_TOL < system.last_counted <= 1.0
+
+
+def test_constraint_rank_reports_its_margin():
+    """The continuum zeros of choi-lam alone fix 67 directions: the last
+    counted singular value sits far above RANK_TOL and the first dropped
+    one at rounding, both relative to the largest. Without zeros there
+    is no margin."""
+    W = choi_lam_witness()
+    angles = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(40, 2))
+    system = constraint_rank(W, [(phi, phi) for phi in
+                                 (choi_lam_continuum_zero(a, b) for a, b in angles)])
+    assert system.rank == 67
+    assert system.last_counted > 0.1
+    assert system.first_dropped < 1e-14
+    sv = np.linalg.svd(system.rows, compute_uv=False)
+    assert system.last_counted == sv[66] / sv[0]
+    assert system.first_dropped == sv[67] / sv[0]
+    empty = constraint_rank(W, [])
+    assert (empty.rank, empty.last_counted, empty.first_dropped) == (0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +529,27 @@ def _interior_witness(seed, m=3, n=3):
     return Witness(m, n, lam * np.eye(m * n) / (m * n) + (1 - lam) * A)
 
 
-FINISH_CASES = dict(WITNESSES, **{f"interior-{s}": (lambda s=s: _interior_witness(s))
-                                  for s in (3, 4)})
+def _choi_lam_mixture():
+    """0.2 tr(A) I/9 + 0.8 A, A choi-lam: zero-free (min f about 0.067),
+    but lambda_min is -0.18 and that of the partial transpose -0.33, so
+    the spectral certificate of find_zeros does not settle it and the
+    search runs, with positive minima."""
+    A = choi_lam_witness().matrix
+    return Witness(3, 3, 0.2 * np.trace(A).real * np.eye(9) / 9 + 0.8 * A)
+
+
+FINISH_CASES = dict(WITNESSES, mixture=_choi_lam_mixture,
+                    **{f"interior-{s}": (lambda s=s: _interior_witness(s))
+                       for s in (3, 4)})
+# The cases whose A is positive definite: find_zeros settles them by the
+# spectral certificate and runs no search.
+CERTIFIED = {"interior-3", "interior-4"}
+
+
+def _search_starts(W, count, seed):
+    """The starts find_zeros(W, count, seed) draws."""
+    draws = np.random.default_rng(seed).normal(size=(count, 2, W.m))
+    return draws[:, 0] + 1j * draws[:, 1]
 
 
 def _alternated(W, count, seed):
@@ -532,7 +574,8 @@ def test_polish_skips_finished_starts(name, monkeypatch):
     at the sweep cap, with the alternation's own (phi, chi, f); a start
     that stopped by the alternation's own rule keeps its result.
     Finishing it anyway would move its value by rounding alone and flip
-    no acceptance at find_zeros' default tol."""
+    no acceptance at find_zeros' default tol. On the positive-definite
+    cases find_zeros runs no search, so _minimize runs on its starts."""
     W = FINISH_CASES[name]()
     seen = {}
     alternate, newton = zeros_mod._alternate, zeros_mod._newton
@@ -547,7 +590,10 @@ def test_polish_skips_finished_starts(name, monkeypatch):
 
     monkeypatch.setattr(zeros_mod, "_alternate", spy_alternate)
     monkeypatch.setattr(zeros_mod, "_newton", spy_newton)
-    find_zeros(W, 100, 54)
+    if name in CERTIFIED:
+        zeros_mod._minimize(W, _search_starts(W, 100, 54))
+    else:
+        find_zeros(W, 100, 54)
     Phi, Chi, values, creeping = seen["alternate"]
     for handed, part in zip(seen["newton"], (Phi, Chi, values)):
         assert np.array_equal(handed, part[creeping])
@@ -939,3 +985,68 @@ def test_find_zeros_rejects_non_block_positive(make, minimum):
     assert isinstance(err, ValueError)
     assert abs(err.value - minimum) < 1e-9
     assert abs(biquadratic_form(W, err.phi, err.chi) - err.value) < 1e-12
+
+
+def _ppt_certified_witness():
+    """(lam I/9 + (1 - lam) |Phi+><Phi+|)^Gamma at lam = 0.3: lambda_min(A)
+    is -0.2, but A^Gamma is positive definite with lambda_min 1/30."""
+    plus = np.eye(3).reshape(9) / np.sqrt(3.0)
+    return partial_transpose(Witness(3, 3, 0.3 * np.eye(9) / 9 + 0.7 * np.outer(plus, plus)))
+
+
+ZERO_FREE = {"identity-matrix": lambda: Witness(3, 3, np.eye(9)),
+             "ppt": _ppt_certified_witness,
+             "interior-2x4": lambda: _interior_witness(57, 2, 4),
+             **{f"interior-{s}": (lambda s=s: _interior_witness(s)) for s in range(1, 9)}}
+
+
+def _count_alternations(monkeypatch):
+    """The stack sizes of the _alternate calls from here on."""
+    calls = []
+    alternate = zeros_mod._alternate
+
+    def spy(W, Phi):
+        calls.append(len(Phi))
+        return alternate(W, Phi)
+
+    monkeypatch.setattr(zeros_mod, "_alternate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600])
+@pytest.mark.parametrize("name", ZERO_FREE)
+@pytest.mark.filterwarnings("error")
+def test_spectral_certificate_settles_zero_free_witnesses(name, scale, monkeypatch):
+    """A witness with lambda_min(A) or lambda_min(A^Gamma) above
+    2 ZERO_TOL ||A|| has no zero, and find_zeros returns [] without a
+    search. The search itself would return the same: _minimize on
+    find_zeros' own starts ends every start above ZERO_TOL ||A||. Both
+    hold at the ends of the float range, with no numpy warning."""
+    W = ZERO_FREE[name]()
+    W = Witness(W.m, W.n, scale * W.matrix)
+    _, _, values = zeros_mod._minimize(W, _search_starts(W, 100, 42))
+    assert values.min() > zeros_mod.ZERO_TOL * hs_norm(W.matrix)
+    calls = _count_alternations(monkeypatch)
+    assert find_zeros(W, 100, 42) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, starts, zero_count", [
+    (choi_lam_witness, 500, 356), (horodecki_2x4_witness, 100, 100),
+    (lambda: identity_witness(3), 50, 50), (_choi_lam_mixture, 100, 0)])
+def test_spectral_certificate_leaves_the_search_to_the_rest(make, starts, zero_count,
+                                                            monkeypatch):
+    """Witnesses with zeros (choi-lam 500/42 keeps its 356), and a
+    zero-free one whose A and A^Gamma both have negative eigenvalues,
+    still run the search and keep its answer."""
+    calls = _count_alternations(monkeypatch)
+    assert len(find_zeros(make(), starts, 42)) == zero_count
+    assert calls == [starts]
+
+
+@pytest.mark.parametrize("make", [lambda: Witness(3, 3, -np.eye(9)), _max_entangled_witness])
+def test_spectral_certificate_leaves_non_witnesses_to_the_search(make, monkeypatch):
+    calls = _count_alternations(monkeypatch)
+    with pytest.raises(NotBlockPositiveError):
+        find_zeros(make(), 10, 1)
+    assert calls == [10]
