@@ -149,8 +149,7 @@ SCALE_HEADROOM = 2.0 ** 10
 # Singular values above this share of the largest count toward a
 # constraint rank.
 RANK_TOL = 1e-10
-# Rows per block of the pairwise overlap matrix, which bounds the working
-# set of _merge.
+# Rows per block of the overlaps of _merge, which bounds its working set.
 OVERLAP_BLOCK = 64
 # Least share of the spread of a 3 x 3 spectrum that the gap between the
 # smallest eigenvalue and the next must keep for the closed form of
@@ -161,12 +160,12 @@ GAP_SHARE = 0.1
 # The kernels below run one operation over a stack of starts or zeros,
 # one row per start. Every stacked step repeats, row by row, the exact
 # floating-point operations of a single-vector computation, so a start's
-# result does not depend on the other rows of its stack: the map
-# kernels' GEMM also serves a one-row stack, the closed form of
-# _smallest3 for the smallest eigenpair of 3 x 3 matrices is
-# elementwise, and stacked einsum, qr and eigh (for tangent Hessians,
-# for other sizes, and for the rows that _smallest3 leaves to LAPACK by
-# GAP_SHARE) reproduce their per-matrix results.
+# result does not depend on the other rows of its stack: the closed
+# forms of _smallest3 and _tangent_frame are elementwise, a 3-d stacked
+# matmul runs one BLAS product of a fixed shape per row, and stacked
+# eigh and solve reproduce their per-matrix results. A 2-d row stack
+# (K, d) @ (d, e) goes to gemv at K = 1: the map kernels route it
+# through bipartite._rows_times, the kernels here stack psi[:, None, :].
 
 
 def _vector(v, k: int, name: str) -> np.ndarray:
@@ -304,15 +303,18 @@ def _canonical_phase(V: np.ndarray) -> np.ndarray:
 def _tangent_frame(V: np.ndarray) -> np.ndarray:
     """Orthonormal complex basis of the orthogonal complement of each v.
 
+    Closed form: columns 1, ..., k - 1 of the Householder reflection
+    I - 2 w w^dag / (w^dag w) with w = v' + e^{i arg v'_0} e_0, v' = v / |v|,
+    which maps v' onto e_0; w^dag w = 2 (1 + |v'_0|) never cancels. v is
+    first divided by its largest entry magnitude, so any nonzero norm works.
+
     Returns shape (..., k, k - 1): the frame vectors are the columns.
     """
-    k = V.shape[-1]
-    # Complete v to a unitary frame via QR on [v | I] and drop column 0.
-    eye = np.broadcast_to(np.eye(k, dtype=complex), V.shape[:-1] + (k, k))
-    q, _ = np.linalg.qr(np.concatenate([V[..., :, None], eye], axis=-1))
-    # QR may flip the first column by a phase; the remaining columns
-    # still span the complement of v.
-    return q[..., :, 1:k]
+    w = _normalized(V / np.abs(V).max(axis=-1, keepdims=True)).astype(complex)
+    lead = np.abs(w[..., 0])
+    w[..., 0] += np.exp(1j * np.angle(w[..., 0]))
+    return (np.eye(w.shape[-1])[:, 1:]
+            - w[..., :, None] * (w[..., None, 1:].conj() / (1.0 + lead)[..., None, None]))
 
 
 def _chi_step(W: Witness, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,20 +422,16 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, D_phi: np.ndarray,
 
         H_pq = 2 Re a_p^dag A a_q + 2 Re psi^dag A (u_p (x) v_q + u_q (x) v_p).
 
-    Each term is a chain of two-operand contractions: the Gram term
-    a_p^dag (A a_q), the cross term's row psi^dag A as
-    chi^dag (phi^dag A) over the blocks of A, then (psi^dag A) v_q and
-    u_p^dag times that. A three-operand einsum runs numpy's unoptimized
-    loop over all three indices; the chains do the same arithmetic in
-    another order in a fifth of the time. The contractions are einsums:
-    a stacked matmul rounds a row differently depending on the size of
-    its stack.
+    Each term is a chain of 3-d stacked matrix products, one BLAS product
+    of a fixed shape per zero: the Gram term a_p^dag (A a_q), the cross
+    term's row psi^dag A reshaped to m x n, then u_p^dag times that
+    times v_q.
     """
-    gram = np.einsum("zpi,zqi->zpq", a.conj(), np.einsum("ij,zqj->zqi", W.matrix, a))
-    cross = np.einsum("zj,zjkl->zkl", Chi.conj(),
-                      np.einsum("zi,ijkl->zjkl", Phi.conj(), W.blocks))
-    S = gram + 2.0 * np.einsum("zpk,zqk->zpq", D_phi,
-                               np.einsum("zkl,zql->zqk", cross, D_chi))
+    count = Phi.shape[0]
+    psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(count, 1, -1)
+    gram = a.conj() @ (a @ W.matrix.T).swapaxes(-1, -2)
+    cross = (psi.conj() @ W.matrix).reshape(count, W.m, W.n)
+    S = gram + 2.0 * (D_phi @ cross @ D_chi.swapaxes(-1, -2))
     # Re(S + S^T) is symmetric to the last bit, as eigh assumes.
     return (S + S.swapaxes(-1, -2)).real
 
@@ -472,16 +470,15 @@ def _newton(W: Witness, Phi: np.ndarray, Chi: np.ndarray, values: np.ndarray
             break
         phi, chi, f = Phi[active], Chi[active], values[active]
         D_phi, D_chi, a = _variations(phi, chi)
-        psi = (phi[:, :, None] * chi[:, None, :]).reshape(len(active), -1)
-        # A is Hermitian, so psi^dag A a_p = conj(a_p^dag A psi).
-        grad = 2.0 * np.einsum("zpi,zi->zp", a.conj(),
-                               np.einsum("ij,zj->zi", W.matrix, psi)).real
+        # Row vectors, shape (K, 1, .): psi, the gradient and the step.
+        psi = (phi[:, :, None] * chi[:, None, :]).reshape(len(active), 1, -1)
+        grad = 2.0 * (psi.conj() @ W.matrix @ a.swapaxes(-1, -2)).real
         H = _hessian(W, phi, chi, D_phi, D_chi, a) - 2.0 * f[:, None, None] * np.eye(a.shape[1])
         lam, V = np.linalg.eigh(H)
         size = np.abs(lam)
         size = np.maximum(size, NEWTON_FLOOR * size.max(axis=1, keepdims=True))
-        x = -np.einsum("zpk,zk->zp", V, np.einsum("zpk,zp->zk", V, grad) / size)
-        move = np.einsum("zp,zpi->zi", shrink[active, None] * x, D_phi)
+        x = -((grad @ V) / size[:, None]) @ V.swapaxes(-1, -2)
+        move = ((shrink[active, None, None] * x) @ D_phi)[:, 0]
         # Rows 2k and 2k + 1 are start k moved by x and by 3x.
         cand = _normalized(phi[:, None] + np.array([1.0, 3.0])[:, None] * move[:, None])
         cand = cand.reshape(-1, m)
@@ -564,10 +561,10 @@ def _reduced_quartic(W: Witness, D_phi: np.ndarray, D_chi: np.ndarray,
     # A is Hermitian, so b^dag A = (A b)^dag.
     Ab = b @ W.matrix.T
     Aa = (a_d @ W.matrix.T).reshape(count, s, m, n).conj()
-    g = 2.0 * (np.einsum("zsi,zpi->zsp", Ab.conj(), a)
-               + np.einsum("zsj,zpj->zsp", np.einsum("zsij,zsi->zsj", Aa, u), D_chi)
-               + np.einsum("zsi,zpi->zsp", np.einsum("zsij,zsj->zsi", Aa, v), D_phi)).real
-    return (np.einsum("zsi,zsi->zs", b.conj(), Ab).real
+    g = 2.0 * (Ab.conj() @ a.swapaxes(-1, -2)
+               + (u[..., None, :] @ Aa)[..., 0, :] @ D_chi.swapaxes(-1, -2)
+               + (Aa @ v[..., None])[..., 0] @ D_phi.swapaxes(-1, -2)).real
+    return ((b.conj()[..., None, :] @ Ab[..., None])[..., 0, 0].real
             - 0.5 * np.square(g @ root).sum(axis=-1))
 
 
@@ -595,7 +592,9 @@ def _circle_min(samples: np.ndarray) -> np.ndarray:
     rounding level of the polynomial; where the polynomial vanishes, Q
     is constant on the circle.
     """
-    c = np.linalg.solve(_monomials(_CIRCLE), samples.T).T
+    # One right-hand side per solve: LAPACK rounds a column of a
+    # many-column right-hand side otherwise than the column alone.
+    c = np.linalg.solve(_monomials(_CIRCLE), samples[:, :, None])[:, :, 0]
     c0, c1, c2, c3, c4 = c.T
     # y Q_x - x Q_y at (1, t), highest power first.
     poly = np.stack([c3, 2 * c2 - 4 * c4, 3 * (c1 - c3), 4 * c0 - 2 * c2, -c1], axis=1)
@@ -606,7 +605,7 @@ def _circle_min(samples: np.ndarray) -> np.ndarray:
     companion[:, 1:, :3] = np.eye(3)
     roots = np.linalg.eigvals(companion).real
     theta = np.concatenate([np.arctan(roots), np.full((len(c), 1), np.pi / 2)], axis=1)
-    return np.einsum("zjk,zk->zj", _monomials(theta), c).min(axis=1)
+    return (_monomials(theta) @ c[:, :, None]).min(axis=(1, 2))
 
 
 def _scale(W: Witness) -> float:
@@ -715,29 +714,27 @@ def classify_zero(W: Witness, phi: np.ndarray,
 def _merge(Phi: np.ndarray, Chi: np.ndarray) -> np.ndarray:
     """Representatives of the distinct zeros among candidate rows.
 
-    One pass builds the overlaps |<phi_i, phi_j>| |<chi_i, chi_j>| of
-    rows i < j, :data:`OVERLAP_BLOCK` rows at a time. Above
-    1 - :data:`DEDUP_TOL` two rows are the same zero, and one greedy
-    pass keeps a row unless an earlier kept row is the same zero.
+    Above an overlap |<phi_i, phi_j>| |<chi_i, chi_j>| of
+    1 - :data:`DEDUP_TOL` two rows are the same zero, and a row is kept
+    unless an earlier kept row is the same zero. Each block of
+    :data:`OVERLAP_BLOCK` rows is overlapped with the rows kept so far and
+    with itself, then passed over greedily, so the working set grows
+    linearly in the rows.
 
     :return: representative rows, ascending.
     """
-    count = Phi.shape[0]
-    same = np.zeros((count, count), dtype=bool)
-    # einsum, not a BLAS matrix product: the BLAS routine adds to the
-    # peak memory of a search.
-    for b in range(0, count, OVERLAP_BLOCK):
-        rows = slice(b, b + OVERLAP_BLOCK)
-        # Only pairs i < j: the block against the rows from b on, right
-        # of its diagonal.
-        overlap = np.abs(np.einsum("ri,ci->rc", Phi[rows].conj(), Phi[b:]))
-        overlap *= np.abs(np.einsum("ri,ci->rc", Chi[rows].conj(), Chi[b:]))
-        same[rows, b:] = np.triu(overlap > 1.0 - DEDUP_TOL, 1)
-    keep = np.ones(count, dtype=bool)
-    for i in range(count):
-        if keep[i]:
-            keep[i + 1:] &= ~same[i, i + 1:]
-    return np.flatnonzero(keep)
+    keep = np.zeros(0, dtype=int)
+    for b in range(0, len(Phi), OVERLAP_BLOCK):
+        rows = np.arange(b, min(b + OVERLAP_BLOCK, len(Phi)))
+        cols = np.concatenate([keep, rows])
+        same = (np.abs(Phi[rows].conj() @ Phi[cols].T)
+                * np.abs(Chi[rows].conj() @ Chi[cols].T) > 1.0 - DEDUP_TOL)
+        live = ~same[:, :len(keep)].any(axis=1)
+        for i in range(len(rows)):
+            if live[i]:
+                live[i + 1:] &= ~same[i, len(keep) + i + 1:]
+        keep = np.concatenate([keep, rows[live]])
+    return keep
 
 
 def find_zeros(W: Witness, starts: int = 500, seed: int = 42) -> list:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -258,13 +259,14 @@ def test_constraint_rows_against_own_witness():
     assert np.abs(out[1:]).max() < 1e-12
 
 
-def _reference_rows(phi, chi):
-    """One zero's rows from one N x N functional per row. The imaginary
-    parts are negated: the derivative of psi^dag E a along i u is -Im."""
+def _reference_rows(phi, chi, frame=zeros_mod._tangent_frame):
+    """One zero's rows from one N x N functional per row, with the tangent
+    directions of ``frame``. The imaginary parts are negated: the
+    derivative of psi^dag E a along i u is -Im."""
     psi = np.kron(phi, chi)
     functionals = [np.outer(psi, psi.conj())]
-    partners = [np.kron(u, chi) for u in zeros_mod._tangent_frame(phi).T]
-    partners += [np.kron(phi, v) for v in zeros_mod._tangent_frame(chi).T]
+    partners = [np.kron(u, chi) for u in frame(phi).T]
+    partners += [np.kron(phi, v) for v in frame(chi).T]
     for eta in partners:
         outer = np.outer(eta, psi.conj())
         functionals.append((outer + outer.conj().T) / 2.0)
@@ -289,6 +291,66 @@ def test_constraint_rows_match_reference(m, n, count):
     for i in range(count):
         assert np.array_equal(R[i], constraint_rows(W, Phi[i], Chi[i]))
         assert np.abs(R[i] - _reference_rows(Phi[i], Chi[i])).max() <= 1e-14
+
+
+def _qr_frame(v):
+    """The complement of v from LAPACK's QR of [v | I], column 0 dropped."""
+    return np.linalg.qr(np.column_stack([v, np.eye(len(v))]))[0][:, 1:]
+
+
+# Unit vectors with a zero, real, complex or tiny lead entry, and the
+# scales they are tried at: non-unit norms and 2^+-600, whose squares
+# leave the float range.
+FRAME_VECTORS = {
+    "lead-zero": [0.0, 0.6, 0.8j],
+    "basis-last": [0.0, 0.0, 1.0],
+    "basis-first": [1.0, 0.0, 0.0],
+    "negative-lead": [-1.0, 2.0, 2j],
+    "complex-lead": [1 - 1j, 0.5, -2.0, 1j],
+    "tiny-lead": [1e-300, 1.0],
+    "pair": [3.0, 4j],
+}
+FRAME_SCALES = [1.0, 3.7, 1e-3, 2.0 ** 600, 2.0 ** -600]
+
+
+@pytest.mark.parametrize("name", FRAME_VECTORS)
+@pytest.mark.parametrize("scale", FRAME_SCALES)
+def test_tangent_frame_is_an_orthonormal_complement(name, scale):
+    """The closed-form frame of any nonzero v is k - 1 orthonormal columns
+    orthogonal to v, to a few eps, with no warning at any scale; a row of
+    a stack gets its frame alone bit for bit."""
+    v = np.array(FRAME_VECTORS[name], dtype=complex)
+    v /= np.linalg.norm(v)
+    k = len(v)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = zeros_mod._tangent_frame(scale * v)
+        stacked = zeros_mod._tangent_frame(np.array([scale * v, v[::-1], scale * v]))
+    assert F.shape == (k, k - 1)
+    assert np.abs(F.conj().T @ F - np.eye(k - 1)).max() <= 4 * eps
+    assert np.abs(F.conj().T @ v).max() <= 4 * eps
+    assert np.array_equal(stacked[0], F) and np.array_equal(stacked[2], F)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
+def test_constraint_rows_match_the_qr_frame(m, n):
+    """The closed-form frame and LAPACK's QR frame span the same tangent
+    space, so each zero's rows are those of the QR frame up to a real
+    orthogonal mix of its derivative rows: the value row is unchanged,
+    and the mix is orthogonal to rounding."""
+    W = Witness(m, n, np.eye(m * n))
+    rng = np.random.default_rng(63 + m)
+    for _ in range(4):
+        phi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        chi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        phi, chi = phi / np.linalg.norm(phi), chi / np.linalg.norm(chi)
+        R = constraint_rows(W, phi, chi)
+        reference = _reference_rows(phi, chi, frame=_qr_frame)
+        mix = reference @ np.linalg.pinv(R)
+        assert np.abs(R[0] - reference[0]).max() <= 1e-15
+        assert np.abs(mix @ mix.T - np.eye(len(R))).max() <= 1e-13
+        assert np.abs(mix @ R - reference).max() <= 1e-14
 
 
 def test_constraint_rank_without_zeros():
@@ -673,6 +735,30 @@ def test_stacked_classify_matches_single_zeros(name):
         assert np.abs(spectra[i] - reference).max() <= 1e-6
 
 
+@pytest.mark.parametrize("name", WITNESSES)
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_newton_and_classify_rows_do_not_depend_on_stack_size(name, size):
+    """Each row of a _newton or _classify stack of 1, 2 or 3 rows gets the
+    bits of its one-row call. A 2-d row stack (K, d) @ (d, e) goes to gemv
+    at K = 1 and to gemm otherwise, so such a product in the kernels
+    would show here."""
+    W = WITNESSES[name]()
+    Phi = zeros_mod._normalized(_starts(W, size, 65))
+    stacked = zeros_mod._newton(W, Phi, *zeros_mod._chi_step(W, Phi))
+    _assert_rows_equal(stacked, [
+        [part[0] for part in zeros_mod._newton(W, Phi[k:k + 1],
+                                               *zeros_mod._chi_step(W, Phi[k:k + 1]))]
+        for k in range(size)])
+    zeros = find_zeros(W, 40, 66)[:size]
+    Phi, Chi = np.array([z.phi for z in zeros]), np.array([z.chi for z in zeros])
+    kinds, *stacked = zeros_mod._classify(W, Phi, Chi)
+    for k in range(size):
+        kind, *single = zeros_mod._classify(W, Phi[k:k + 1], Chi[k:k + 1])
+        assert kinds[k] == kind[0]
+        for part, row in zip(single, stacked):
+            assert np.array_equal(row[k], part[0])
+
+
 def _hessian_reference(W, Phi, Chi, D_phi, D_chi, a):
     """_hessian's terms as three-operand einsums."""
     gram = np.einsum("zpi,ij,zqj->zpq", a.conj(), W.matrix, a)
@@ -700,9 +786,10 @@ def _reduced_quartic_reference(W, D_phi, D_chi, a, root, d):
 @pytest.mark.parametrize("make", [choi_lam_witness, horodecki_2x4_witness,
                                   lambda: _interior_witness(57, 2, 4)])
 def test_pairwise_contractions_match_three_operand_einsums(make):
-    """_hessian and _reduced_quartic contract two operands at a time; they
-    agree with the three-operand einsums to rounding, at any point of the
-    product manifold and for orthonormal H^+ roots and unit directions."""
+    """_hessian and _reduced_quartic contract two operands at a time, as
+    stacked matrix products; they agree with the three-operand einsums to
+    rounding, at any point of the product manifold and for orthonormal
+    H^+ roots and unit directions."""
     W = make()
     rng = np.random.default_rng(58)
     Phi = zeros_mod._normalized(_starts(W, 30, 59))
@@ -721,11 +808,13 @@ def test_pairwise_contractions_match_three_operand_einsums(make):
     assert np.abs(q - _reduced_quartic_reference(W, D_phi, D_chi, a, root, d)).max() <= tol
 
 
-def test_merge_matches_sequential_dedup(monkeypatch):
+# One row per block, several blocks, and one block for all 40 rows.
+@pytest.mark.parametrize("block", [1, 7, 41])
+def test_merge_matches_sequential_dedup(block, monkeypatch):
     W = choi_lam_witness()
     # the search's candidates: near-zeros, scattered along the continuum
     Phi, Chi, _ = zeros_mod._minimize(W, _starts(W, 40, 53))
-    monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", 7)    # several row blocks
+    monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", block)
     # the representatives are those of a sequential first-come dedup
     keep = []
     for i in range(len(Phi)):
@@ -734,6 +823,29 @@ def test_merge_matches_sequential_dedup(monkeypatch):
             keep.append(i)
     assert len(keep) < len(Phi)
     assert list(zeros_mod._merge(Phi, Chi)) == keep
+
+
+def test_merge_memory_grows_linearly_in_the_rows():
+    """_merge holds one block's overlaps with the rows kept so far: on
+    distinct rows, eight times the rows take about eight times the peak
+    memory (ten with the blocks the first rows leave short), where a
+    count x count matrix takes about twenty times."""
+    rng = np.random.default_rng(64)
+
+    def peak(count):
+        Phi, Chi = (zeros_mod._normalized(rng.normal(size=(count, 3))
+                                          + 1j * rng.normal(size=(count, 3)))
+                    for _ in range(2))
+        tracemalloc.start()
+        try:
+            kept = zeros_mod._merge(Phi, Chi)
+            return tracemalloc.get_traced_memory()[1], len(kept)
+        finally:
+            tracemalloc.stop()
+
+    (small, kept_small), (large, kept_large) = peak(500), peak(4000)
+    assert (kept_small, kept_large) == (500, 4000)
+    assert large <= 14 * small
 
 
 def test_dedup_keeps_first_of_each_overlap_class():
