@@ -427,10 +427,9 @@ def _hessian(W: Witness, Phi: np.ndarray, Chi: np.ndarray, D_phi: np.ndarray,
     term's row psi^dag A reshaped to m x n, then u_p^dag times that
     times v_q.
     """
-    count = Phi.shape[0]
-    psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(count, 1, -1)
+    psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(len(Phi), 1, -1)
     gram = a.conj() @ (a @ W.matrix.T).swapaxes(-1, -2)
-    cross = (psi.conj() @ W.matrix).reshape(count, W.m, W.n)
+    cross = (psi.conj() @ W.matrix).reshape(-1, W.m, W.n)
     S = gram + 2.0 * (D_phi @ cross @ D_chi.swapaxes(-1, -2))
     # Re(S + S^T) is symmetric to the last bit, as eigh assumes.
     return (S + S.swapaxes(-1, -2)).real
@@ -830,7 +829,8 @@ def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     i u this is -Im psi^dag E (u (x) chi)).
 
     :return: array of shape (..., 2(m+n)-3, (mn)^2 - 1).
-    :raises ValueError: if the shapes do not fit W or each other.
+    :raises ValueError: if the shapes do not fit W or each other, or if a
+        phi or chi is zero.
     """
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
@@ -839,6 +839,8 @@ def constraint_rows(W: Witness, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected phi of shape (..., {W.m}) and chi of shape "
                          f"(..., {W.n}) alike, got {phi.shape} and {chi.shape}")
     Phi, Chi = phi.reshape(-1, W.m), chi.reshape(-1, W.n)
+    if not (Phi.any(axis=1).all() and Chi.any(axis=1).all()):
+        raise ValueError("a zero needs a nonzero phi and chi")
     psi = (Phi[:, :, None] * Chi[:, None, :]).reshape(-1, W.m * W.n)
     partners = np.concatenate([psi[:, None], _variations(Phi, Chi)[2]], axis=1)
     basis = hermitian_basis(W.m * W.n)[1:]

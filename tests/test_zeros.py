@@ -240,6 +240,9 @@ def test_constraint_rank_counts_near_coincident_zeros_once():
     # A zero vector is no zero: it is refused, not counted with no rows.
     with pytest.raises(ValueError, match="nonzero phi and chi"):
         constraint_rank(W, [(e[0], e[2]), (np.zeros(3), e[2])])
+    for phi, chi in ((np.zeros(3), e[2]), (e[:2], np.array([e[2], np.zeros(3)]))):
+        with pytest.raises(ValueError, match="nonzero phi and chi"):
+            constraint_rows(W, phi, chi)
 
 
 def test_constraint_rows_against_own_witness():
@@ -827,9 +830,8 @@ def test_merge_matches_sequential_dedup(block, monkeypatch):
 
 def test_merge_memory_grows_linearly_in_the_rows():
     """_merge holds one block's overlaps with the rows kept so far: on
-    distinct rows, eight times the rows take about eight times the peak
-    memory (ten with the blocks the first rows leave short), where a
-    count x count matrix takes about twenty times."""
+    distinct rows, eight times the rows take about nine times the peak
+    memory, where a count x count matrix takes about twenty times."""
     rng = np.random.default_rng(64)
 
     def peak(count):
