@@ -811,13 +811,10 @@ def test_pairwise_contractions_match_three_operand_einsums(make):
     assert np.abs(q - _reduced_quartic_reference(W, D_phi, D_chi, a, root, d)).max() <= tol
 
 
-# One row per block, several blocks, and one block for all 40 rows.
-@pytest.mark.parametrize("block", [1, 7, 41])
-def test_merge_matches_sequential_dedup(block, monkeypatch):
+def test_merge_matches_sequential_dedup(monkeypatch):
     W = choi_lam_witness()
     # the search's candidates: near-zeros, scattered along the continuum
     Phi, Chi, _ = zeros_mod._minimize(W, _starts(W, 40, 53))
-    monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", block)
     # the representatives are those of a sequential first-come dedup
     keep = []
     for i in range(len(Phi)):
@@ -825,7 +822,10 @@ def test_merge_matches_sequential_dedup(block, monkeypatch):
                <= 1.0 - zeros_mod.DEDUP_TOL for r in keep):
             keep.append(i)
     assert len(keep) < len(Phi)
-    assert list(zeros_mod._merge(Phi, Chi)) == keep
+    # one row per block, several blocks, and one block for all 40 rows
+    for block in (1, 7, 41):
+        monkeypatch.setattr(zeros_mod, "OVERLAP_BLOCK", block)
+        assert list(zeros_mod._merge(Phi, Chi)) == keep
 
 
 def test_merge_memory_grows_linearly_in_the_rows():
