@@ -165,7 +165,7 @@ GAP_SHARE = 0.1
 # matmul runs one BLAS product of a fixed shape per row, and stacked
 # eigh and solve reproduce their per-matrix results. A 2-d row stack
 # (K, d) @ (d, e) goes to gemv at K = 1: the map kernels route it
-# through bipartite._rows_times, the kernels here stack psi[:, None, :].
+# through bipartite._rows_times, the kernels here stack rows as (K, 1, d).
 
 
 def _vector(v, k: int, name: str) -> np.ndarray:
@@ -305,7 +305,7 @@ def _tangent_frame(V: np.ndarray) -> np.ndarray:
 
     Closed form: columns 1, ..., k - 1 of the Householder reflection
     I - 2 w w^dag / (w^dag w) with w = v' + e^{i arg v'_0} e_0, v' = v / |v|,
-    which maps v' onto e_0; w^dag w = 2 (1 + |v'_0|) never cancels. v is
+    which maps v' to a multiple of e_0; w^dag w = 2 (1 + |v'_0|) >= 2. v is
     first divided by its largest entry magnitude, so any nonzero norm works.
 
     Returns shape (..., k, k - 1): the frame vectors are the columns.
